@@ -9,18 +9,18 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+mcd::bench::ablationEndstop(RunnerConfig config)
 {
     std::printf("=== Ablation: EndstopCount sensitivity "
                 "(paper: insensitive from 2-25, infinite degrades) "
                 "===\n");
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -33,7 +33,7 @@ main()
 
     std::vector<int> values = {1, 2, 5, 10, 25, 0 /* infinite */};
     for (int count : values) {
-        AttackDecayConfig adc = scaledAttackDecay();
+        AttackDecayConfig adc = scaledAttackDecayConfig();
         adc.endstopCount = count;
         std::fprintf(stderr, "  endstop = %d\n", count);
 
@@ -51,6 +51,4 @@ main()
                                  &ComparisonMetrics::edpImprovement))});
     }
     std::printf("%s", table.render().c_str());
-    reportStoreStats();
-    return 0;
 }

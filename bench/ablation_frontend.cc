@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "figures.hh"
 #include "common/logging.hh"
 #include "sweep_util.hh"
 
@@ -60,12 +61,16 @@ class PinnedFrontEndController : public FrequencyController
  * This ablation's controller is not part of the library: registering
  * it here is the extension path the registry exists for — one
  * registration and the spec-driven batch helpers (and mcd_cli, were
- * this registered in the library) can drive it.
+ * this registered in the library) can drive it. Idempotent, since
+ * `regen frontend,frontend` runs the ablation twice in one process.
  */
 void
 registerPinnedFrontEnd()
 {
-    ControllerRegistry::instance().add(
+    ControllerRegistry &registry = ControllerRegistry::instance();
+    if (registry.contains("pinned_frontend"))
+        return;
+    registry.add(
         "pinned_frontend",
         "front end pinned to `freq` (Hz); back end at maximum",
         [](const ControllerSpec &spec)
@@ -91,12 +96,11 @@ pinnedFrontEndSpec(Hertz fe_freq)
 
 } // namespace
 
-int
-main()
+void
+mcd::bench::ablationFrontend(RunnerConfig config)
 {
     std::printf("=== Ablation: front-end frequency scaling ===\n");
     registerPinnedFrontEnd();
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -135,11 +139,11 @@ main()
     {
         std::fprintf(stderr, "  A/D variants on %zu benchmarks\n",
                      names.size());
-        auto ad_stats = runVariant(runner, names,
-                                   attackDecaySpec(scaledAttackDecay()));
+        auto ad_stats = runVariant(
+            runner, names, attackDecaySpec(scaledAttackDecayConfig()));
         auto fe_stats = runVariant(
             runner, names,
-            attackDecaySpec(scaledAttackDecay(),
+            attackDecaySpec(scaledAttackDecayConfig(),
                             "frontend_attack_decay"),
             ClockMode::Mcd, config.dvfs.freqMax);
         std::vector<ComparisonMetrics> plain, extended;
@@ -160,6 +164,4 @@ main()
         row("Attack/Decay + front-end scaling (future work)", extended);
     }
     std::printf("%s", part2.render().c_str());
-    reportStoreStats();
-    return 0;
 }

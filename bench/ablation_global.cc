@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 #include "harness/metrics.hh"
 #include "harness/parallel_sweep.hh"
@@ -22,12 +23,11 @@
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+mcd::bench::ablationGlobal(RunnerConfig config)
 {
     std::printf("=== Ablation: global-DVFS matching interpretation "
                 "===\n");
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -97,6 +97,4 @@ main()
                 powerPerfRatio(fm_all));
     std::printf("time-matched power/perf ratio: %.2f (higher for "
                 "memory-bound apps)\n", powerPerfRatio(tm_all));
-    reportStoreStats();
-    return 0;
 }

@@ -11,16 +11,16 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+mcd::bench::ablationInterval(RunnerConfig base_config)
 {
     std::printf("=== Ablation: control interval length ===\n");
-    RunnerConfig base_config = standardConfig();
     printMethodology(base_config);
 
     auto names = sweepBenchmarks();
@@ -42,8 +42,8 @@ main()
         ControllerSpec profiling;
         profiling.name = "profiling";
         auto mcd_base = runVariant(runner, names, profiling);
-        auto ad_stats = runVariant(runner, names,
-                                   attackDecaySpec(scaledAttackDecay()));
+        auto ad_stats = runVariant(
+            runner, names, attackDecaySpec(scaledAttackDecayConfig()));
         std::vector<ComparisonMetrics> vs_mcd;
         for (std::size_t i = 0; i < names.size(); ++i)
             vs_mcd.push_back(compare(mcd_base[i], ad_stats[i]));
@@ -59,6 +59,4 @@ main()
                                  &ComparisonMetrics::edpImprovement))});
     }
     std::printf("%s", table.render().c_str());
-    reportStoreStats();
-    return 0;
 }

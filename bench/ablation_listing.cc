@@ -11,16 +11,16 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+mcd::bench::ablationListing(RunnerConfig config)
 {
     std::printf("=== Ablation: PerfDegThreshold guard semantics ===\n");
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -34,14 +34,14 @@ main()
     };
     std::vector<Variant> variants;
 
-    AttackDecayConfig prose = scaledAttackDecay();
+    AttackDecayConfig prose = scaledAttackDecayConfig();
     variants.push_back({"prose guard (default)", prose});
 
-    AttackDecayConfig literal = scaledAttackDecay();
+    AttackDecayConfig literal = scaledAttackDecayConfig();
     literal.literalListingGuard = true;
     variants.push_back({"literal Listing 1 guard", literal});
 
-    AttackDecayConfig unguarded = scaledAttackDecay();
+    AttackDecayConfig unguarded = scaledAttackDecayConfig();
     unguarded.perfDegThreshold = 1e9; // never blocks
     variants.push_back({"guard disabled", unguarded});
 
@@ -69,6 +69,4 @@ main()
                 "after quiet intervals, giving up most of the energy "
                 "savings;\nthe prose guard matches the paper's "
                 "description of catching natural IPC drops.\n");
-    reportStoreStats();
-    return 0;
 }

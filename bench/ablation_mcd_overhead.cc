@@ -11,18 +11,18 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 #include "harness/metrics.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+mcd::bench::ablationMcdOverhead(RunnerConfig base_config)
 {
     std::printf("=== Ablation: inherent MCD overheads vs the fully "
                 "synchronous processor ===\n");
-    RunnerConfig base_config = standardConfig();
     printMethodology(base_config);
 
     auto names = sweepBenchmarks();
@@ -69,6 +69,4 @@ main()
     std::printf("%s", table.render().c_str());
     std::printf("\npaper: <2%% inherent degradation (1.3%% average) and "
                 "+2.9%% total energy from the MCD clock subsystem.\n");
-    reportStoreStats();
-    return 0;
 }

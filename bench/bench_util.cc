@@ -20,14 +20,6 @@ standardConfig()
     return config;
 }
 
-AttackDecayConfig
-scaledAttackDecay()
-{
-    // Single definition in src/control (the stress-lab tournament's
-    // default entries build from the same constants).
-    return scaledAttackDecayConfig();
-}
-
 std::vector<std::string>
 selectedBenchmarks()
 {
@@ -82,7 +74,7 @@ computeOne(Runner &runner, const std::string &name,
                  runner.config().dvfs.freqMax));
     r.attackDecay = ArtifactCache::instance().getOrRun(
         makeSpec(runner.config(), name,
-                 attackDecaySpec(scaledAttackDecay())));
+                 attackDecaySpec(scaledAttackDecayConfig())));
 
     if (options.offline) {
         r.dynamic1 = runner.runOfflineDynamic(name, 0.01, r.mcdBase,
@@ -147,8 +139,6 @@ printMethodology(const RunnerConfig &config)
 void
 reportStoreStats()
 {
-    // One renderer for every `store:` line in the repo (fleet workers
-    // parse this exact format from worker stderr).
     std::fprintf(stderr, "%s\n",
                  storeStatsLine(ArtifactCache::instance()).c_str());
 }

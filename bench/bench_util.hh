@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared machinery for the per-table / per-figure bench binaries: a
+ * Shared machinery for the figure/table/ablation targets (figures.hh): a
  * common environment-configurable methodology, spec builders for the
  * canonical machine variants, and the canonical result set (fully
  * synchronous, baseline MCD, Attack/Decay, Dynamic-1%, Dynamic-5%,
@@ -58,16 +58,6 @@ struct ComputeOptions
 /** The standard runner config with env overrides applied. */
 RunnerConfig standardConfig();
 
-/**
- * The Attack/Decay configuration used for scaled runs: the paper's
- * Section 5 configuration with two interval-scaling compensations
- * (Decay = 1.25 %, PerfDegThreshold = 1.5 %). The single definition
- * — with the full rationale — is `scaledAttackDecayConfig()` in
- * control/attack_decay.hh; this wrapper is kept for the benches'
- * existing call sites.
- */
-AttackDecayConfig scaledAttackDecay();
-
 /** Scenarios selected via MCD_BENCHMARKS, or the paper's 30. */
 std::vector<std::string> selectedBenchmarks();
 
@@ -111,9 +101,10 @@ void printMethodology(const RunnerConfig &config);
 /**
  * Print the ArtifactCache counters — and, when a disk store is
  * attached, its root/entries/bytes — as one machine-greppable stderr
- * line (`store: lookups=... simulations=...`). Every figure binary
- * calls this last; stderr keeps a warm re-run's stdout byte-identical
- * to the cold run's while CI asserts `simulations=0` on the warm one.
+ * line (`store: lookups=... simulations=...`). `mcd_cli regen` and
+ * `tournament` call this last; stderr keeps a warm re-run's stdout
+ * byte-identical to the cold run's while CI asserts `simulations=0`
+ * on the warm one.
  */
 void reportStoreStats();
 

@@ -12,18 +12,18 @@
 #include <string>
 #include <vector>
 
+#include "figures.hh"
 #include "bench_util.hh"
 #include "harness/metrics.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+mcd::bench::fig2LsqTrace(RunnerConfig config)
 {
     std::printf("=== Figure 2: load/store domain statistics for epic "
                 "decode ===\n");
-    RunnerConfig config = standardConfig();
     config.warmup = 0;
     printMethodology(config);
     Runner runner(config);
@@ -37,7 +37,7 @@ main()
     std::vector<Sample> samples;
 
     std::uint64_t insns = 0;
-    AttackDecayConfig adc = scaledAttackDecay();
+    AttackDecayConfig adc = scaledAttackDecayConfig();
     runner.runAttackDecay("epic", adc,
                           [&](const IntervalStats &stats) {
                               insns += stats.instructions;
@@ -84,5 +84,4 @@ main()
                         .c_str(),
                     f, change);
     }
-    return 0;
 }

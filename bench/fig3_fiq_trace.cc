@@ -15,18 +15,18 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "bench_util.hh"
 #include "harness/metrics.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+mcd::bench::fig3FiqTrace(RunnerConfig config)
 {
     std::printf("=== Figure 3: floating-point domain statistics for "
                 "epic decode ===\n");
-    RunnerConfig config = standardConfig();
     config.warmup = 0; // the figure starts at instruction 0
     printMethodology(config);
     Runner runner(config);
@@ -40,7 +40,7 @@ main()
     std::vector<Sample> samples;
 
     std::uint64_t insns = 0;
-    runner.runAttackDecay("epic", scaledAttackDecay(),
+    runner.runAttackDecay("epic", scaledAttackDecayConfig(),
                           [&](const IntervalStats &stats) {
                               insns += stats.instructions;
                               samples.push_back(
@@ -71,5 +71,4 @@ main()
                         .c_str(),
                     f, samples[i].fiqUtilization);
     }
-    return 0;
 }

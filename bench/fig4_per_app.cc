@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "bench_util.hh"
 #include "harness/metrics.hh"
 
@@ -54,12 +55,11 @@ printSeries(const char *title,
 
 } // namespace
 
-int
-main()
+void
+mcd::bench::fig4PerApp(RunnerConfig config)
 {
     std::printf("=== Figure 4: per-application results relative to a "
                 "fully synchronous processor ===\n");
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -74,6 +74,4 @@ main()
                 &ComparisonMetrics::energySavings);
     printSeries("Figure 4(c): Energy-Delay Product Improvement", all,
                 &ComparisonMetrics::edpImprovement);
-    reportStoreStats();
-    return 0;
 }

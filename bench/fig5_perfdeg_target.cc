@@ -12,17 +12,17 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
 using namespace mcd::bench;
 
-int
-main()
+void
+mcd::bench::fig5PerfdegTarget(RunnerConfig config)
 {
     std::printf("=== Figure 5: performance degradation target analysis "
                 "(config 1.000_06.0_1.250_X.X) ===\n");
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -58,6 +58,4 @@ main()
     std::printf("\npaper shape: achieved tracks the ideal line over the "
                 "4-10%% range;\nEDP improvement flattens then declines "
                 "past a ~9%% target.\n");
-    reportStoreStats();
-    return 0;
 }

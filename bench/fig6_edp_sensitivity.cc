@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
@@ -41,12 +42,11 @@ sweep(Runner &runner, const std::vector<std::string> &names,
 
 } // namespace
 
-int
-main()
+void
+mcd::bench::fig6EdpSensitivity(RunnerConfig config)
 {
     std::printf("=== Figure 6: Attack/Decay sensitivity analysis, "
                 "energy-delay product improvements ===\n");
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -93,6 +93,4 @@ main()
 
     std::printf("paper shape: each curve peaks in a broad flat middle "
                 "range and falls off at the extremes.\n");
-    reportStoreStats();
-    return 0;
 }

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
@@ -39,12 +40,11 @@ sweep(Runner &runner, const std::vector<std::string> &names,
 
 } // namespace
 
-int
-main()
+void
+mcd::bench::fig7PprSensitivity(RunnerConfig config)
 {
     std::printf("=== Figure 7: Attack/Decay sensitivity analysis, "
                 "power/performance ratio ===\n");
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -91,6 +91,4 @@ main()
 
     std::printf("paper shape: the ratio stays in the 3.5-4.6 band over "
                 "a broad middle range of each parameter.\n");
-    reportStoreStats();
-    return 0;
 }

@@ -14,9 +14,7 @@
  *   mcd_cli cache [--store <dir>] [--json]
  *   mcd_cli cache prune [--store <dir>] [--max-bytes <b>]
  *               [--max-age <s>] [--tmp-age <s>] [--json]
- *   mcd_cli fleet <target>[,<target>...] [--procs <n>]
- *               [--retries <n>] [--store <dir>] [--json]
- *               [--socket <path>]
+ *   mcd_cli regen <target>[,<target>...] [--store <dir>]
  *   mcd_cli serve --socket <path> [--store <dir>] [--workers <n>]
  *               [--max-inflight <m>]
  *   mcd_cli request --socket <path> (--ping | --stats | --shutdown |
@@ -28,38 +26,31 @@
  * simulate once, and with a persistent store (--store or MCD_STORE)
  * once across invocations. `cache` prints the store statistics;
  * `cache prune` garbage-collects the store (size/age budgets, stale
- * temp files). `fleet` shards figure/ablation targets — sibling bench
- * binaries, resolved next to this executable — across N concurrent
- * worker processes sharing one store, collating per-target stdout in
- * submission order (byte-identical for any --procs).
+ * temp files). `regen` runs the paper's figures, tables and ablations
+ * (bench/figures.hh) in order in this process, so targets share one
+ * cache and stdout is each target's output in submission order.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "bench_util.hh"
 #include "common/env.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "eval/tournament.hh"
+#include "figures.hh"
 #include "harness/artifact_store.hh"
 #include "harness/experiment.hh"
-#include "harness/fleet.hh"
 #include "harness/table.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
@@ -167,7 +158,11 @@ listRegistries(bool json)
     std::printf("%s", controller_table.render().c_str());
 }
 
-// ------------------------------------------------------------ cache
+// ------------------------------------------------------------ flags
+//
+// One checked parser per numeric flag, shared by the batch grammar and
+// `request`'s: junk, stray signs and out-of-range values are fatal
+// instead of being read as 0 or wrapped.
 
 std::uint64_t
 parseU64Flag(const std::string &flag, const std::string &text)
@@ -184,6 +179,42 @@ parseU64Flag(const std::string &flag, const std::string &text)
                   flag.c_str(), text.c_str());
     return v;
 }
+
+/** A finite decimal number: trailing junk, NaN and infinity fail. */
+double
+parseDoubleFlag(const std::string &flag, const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || errno != 0 ||
+        end != text.c_str() + text.size() || !std::isfinite(v))
+        mcd_fatal("%s needs a number, not '%s'", flag.c_str(),
+                  text.c_str());
+    return v;
+}
+
+Hertz
+parseFreqFlag(const std::string &text)
+{
+    Hertz freq = parseDoubleFlag("--freq", text);
+    if (freq <= 0.0)
+        mcd_fatal("--freq needs a positive frequency in Hz, not '%s'",
+                  text.c_str());
+    return freq;
+}
+
+double
+parseTargetDegFlag(const std::string &text)
+{
+    double deg = parseDoubleFlag("--target-deg", text);
+    if (deg < 0.0 || deg > 1.0)
+        mcd_fatal("--target-deg needs a fraction in [0, 1], not '%s'",
+                  text.c_str());
+    return deg;
+}
+
+// ------------------------------------------------------------ cache
 
 int
 pruneCli(const std::string &root, std::uint64_t max_bytes,
@@ -232,142 +263,76 @@ pruneCli(const std::string &root, std::uint64_t max_bytes,
     return 0;
 }
 
-// ------------------------------------------------------------- fleet
+// ------------------------------------------------------------ regen
 
-/** Short figure/table/ablation aliases -> sibling binary names. */
-const std::map<std::string, std::string> &
-fleetAliases()
+/** One figure, table or ablation that `regen` can run. */
+struct RegenTarget
 {
-    static const std::map<std::string, std::string> aliases = {
-        {"fig2", "fig2_lsq_trace"},
-        {"fig3", "fig3_fiq_trace"},
-        {"fig4", "fig4_per_app"},
-        {"fig5", "fig5_perfdeg_target"},
-        {"fig6", "fig6_edp_sensitivity"},
-        {"fig7", "fig7_ppr_sensitivity"},
-        {"table3", "table3_gates"},
-        {"table6", "table6_summary"},
-        {"endstop", "ablation_endstop"},
-        {"frontend", "ablation_frontend"},
-        {"global", "ablation_global"},
-        {"interval", "ablation_interval"},
-        {"listing", "ablation_listing"},
-        {"mcd_overhead", "ablation_mcd_overhead"},
-    };
-    return aliases;
-}
+    const char *name;
+    void (*run)(RunnerConfig config);
+};
 
-/** The directory holding this executable (and its sibling benches). */
+/** Every regen target, in the order the usage text lists them. */
+constexpr RegenTarget REGEN_TARGETS[] = {
+    {"fig2", fig2LsqTrace},
+    {"fig3", fig3FiqTrace},
+    {"fig4", fig4PerApp},
+    {"fig5", fig5PerfdegTarget},
+    {"fig6", fig6EdpSensitivity},
+    {"fig7", fig7PprSensitivity},
+    {"table3", table3Gates},
+    {"table6", table6Summary},
+    {"endstop", ablationEndstop},
+    {"frontend", ablationFrontend},
+    {"global", ablationGlobal},
+    {"interval", ablationInterval},
+    {"listing", ablationListing},
+    {"mcd_overhead", ablationMcdOverhead},
+};
+
+/** The target names, comma-separated (usage and error text). */
 std::string
-selfDirectory()
+regenTargetNames()
 {
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return ".";
-    buf[n] = '\0';
-    return std::filesystem::path(buf).parent_path().string();
+    std::string names;
+    for (const RegenTarget &target : REGEN_TARGETS)
+        names += (names.empty() ? "" : ", ") + std::string(target.name);
+    return names;
 }
 
 /**
- * Resolve a fleet target: an alias ("fig5"), an exact sibling binary
- * name ("table6_summary"), or an explicit path (contains '/').
+ * Run `names` in order in this process. Every target resolves through
+ * the process-wide ArtifactCache, so an artifact two targets share
+ * simulates once, and stdout is each target's output in submission
+ * order. A run that dies part-way resumes by rerunning against the
+ * same store: DiskStore writes are atomic, so every artifact written
+ * before the crash is a hit.
  */
-std::string
-resolveFleetTarget(const std::string &name)
-{
-    if (name.find('/') != std::string::npos)
-        return name;
-    std::string binary = name;
-    auto alias = fleetAliases().find(name);
-    if (alias != fleetAliases().end())
-        binary = alias->second;
-    std::string path = selfDirectory() + "/" + binary;
-    if (!std::filesystem::exists(path))
-        mcd_fatal("fleet target '%s' resolves to '%s', which does not "
-                  "exist (build it, or pass an explicit path)",
-                  name.c_str(), path.c_str());
-    return path;
-}
-
 int
-fleetCli(const std::vector<std::string> &names, int procs, int retries,
-         const std::string &store, bool json)
+regenCli(const std::vector<std::string> &names, const std::string &store)
 {
-    std::vector<FleetTarget> targets;
+    // Resolve every name before running anything: a typo in the last
+    // target must not cost the earlier targets' work.
+    std::vector<const RegenTarget *> targets;
     for (const auto &name : names) {
-        FleetTarget target;
-        target.name = name;
-        target.argv = {resolveFleetTarget(name)};
-        targets.push_back(std::move(target));
+        auto it = std::find_if(std::begin(REGEN_TARGETS),
+                               std::end(REGEN_TARGETS),
+                               [&](const RegenTarget &target) {
+                                   return name == target.name;
+                               });
+        if (it == std::end(REGEN_TARGETS))
+            mcd_fatal("unknown regen target '%s' (targets: %s)",
+                      name.c_str(), regenTargetNames().c_str());
+        targets.push_back(it);
     }
 
-    FleetOptions options;
-    options.procs = procs;
-    options.retries = retries;
-    options.store = store;
-    FleetReport report = runFleet(targets, options);
-
-    if (json) {
-        std::string out = "{\n  \"fleet\": {\n    \"procs\": " +
-                          std::to_string(std::max(1, procs));
-        out += ",\n    \"store\": " +
-               (store.empty() ? std::string("null") : json::str(store));
-        out += ",\n    \"failed\": " +
-               json::u64(static_cast<std::uint64_t>(report.failed));
-        out += ",\n    \"retried\": " +
-               json::u64(static_cast<std::uint64_t>(report.retried));
-        out += ",\n    \"targets\": [";
-        bool first = true;
-        for (const auto &t : report.targets) {
-            out += first ? "\n" : ",\n";
-            first = false;
-            out += "      {\"name\": " + json::str(t.name) +
-                   ", \"succeeded\": " +
-                   (t.succeeded ? "true" : "false") +
-                   ", \"exit\": " + std::to_string(t.exitCode) +
-                   ", \"attempts\": " + std::to_string(t.attempts) +
-                   ", \"simulations\": " + json::u64(t.store.simulations) +
-                   ", \"lookups\": " + json::u64(t.store.lookups) + "}";
-        }
-        out += "\n    ],\n    \"merged\": {";
-        out += "\"lookups\": " + json::u64(report.merged.lookups);
-        out += ", \"hits\": " + json::u64(report.merged.hits);
-        out += ", \"disk_hits\": " + json::u64(report.merged.diskHits);
-        out += ", \"simulations\": " +
-               json::u64(report.merged.simulations);
-        out += "}\n  }\n}\n";
-        std::fputs(out.c_str(), stdout);
-        return report.failed == 0 ? 0 : 1;
-    }
-
-    // Deterministic collation: each target's stdout, verbatim, in
-    // submission order — byte-identical for any --procs, and for a
-    // single target identical to running the binary directly. All
-    // fleet bookkeeping goes to stderr.
-    for (const auto &t : report.targets) {
-        std::fwrite(t.stdoutText.data(), 1, t.stdoutText.size(),
-                    stdout);
-        if (!t.succeeded) {
-            std::fprintf(stderr,
-                         "fleet: ---- %s failed (exit %d); its stderr "
-                         "follows ----\n",
-                         t.name.c_str(), t.exitCode);
-            std::fwrite(t.stderrText.data(), 1, t.stderrText.size(),
-                        stderr);
-        }
-    }
-    std::fprintf(stderr,
-                 "fleet store: lookups=%llu hits=%llu disk_hits=%llu "
-                 "simulations=%llu failed=%zu retried=%zu\n",
-                 static_cast<unsigned long long>(report.merged.lookups),
-                 static_cast<unsigned long long>(report.merged.hits),
-                 static_cast<unsigned long long>(
-                     report.merged.diskHits),
-                 static_cast<unsigned long long>(
-                     report.merged.simulations),
-                 report.failed, report.retried);
-    return report.failed == 0 ? 0 : 1;
+    RunnerConfig config = standardConfig();
+    if (!store.empty())
+        config.store = store; // --store overrides MCD_STORE
+    for (const RegenTarget *target : targets)
+        target->run(config);
+    reportStoreStats();
+    return 0;
 }
 
 // ------------------------------------------------------- tournament
@@ -375,16 +340,13 @@ fleetCli(const std::vector<std::string> &names, int procs, int retries,
 int
 tournamentCli(const std::vector<std::string> &scenario_args,
               const std::vector<std::string> &controller_args,
-              double target_deg, int procs, int retries,
-              const std::string &store, bool warm_only, bool json)
+              double target_deg, const std::string &store, bool json)
 {
     TournamentOptions options;
     options.config = standardConfig();
     if (!store.empty())
         options.config.store = store; // --store overrides MCD_STORE
     options.targetDeg = target_deg;
-    options.procs = procs;
-    options.retries = retries;
 
     // Scenarios: explicit names (scenario-aware comma splitting), with
     // the "corpus" alias expanding to the standing adversarial corpus.
@@ -424,42 +386,13 @@ tournamentCli(const std::vector<std::string> &scenario_args,
     if (options.controllers.empty())
         options.controllers = defaultTournamentEntries();
 
-    // The warming fleet re-invokes this binary, one scenario per
-    // worker, forwarding the controller arguments verbatim (defaults
-    // are deterministic, so forwarding nothing reproduces them).
-    if (procs > 1) {
-        options.makeWorker =
-            [&](const std::string &scenario) {
-                FleetTarget target;
-                target.name = scenario;
-                target.argv = {selfDirectory() + "/mcd_cli",
-                               "tournament", "--warm-only",
-                               "--scenarios", scenario};
-                for (const auto &arg : controller_args) {
-                    target.argv.push_back("--controllers");
-                    target.argv.push_back(arg);
-                }
-                target.argv.push_back("--target-deg");
-                char deg[40];
-                std::snprintf(deg, sizeof(deg), "%.17g", target_deg);
-                target.argv.push_back(deg);
-                return target;
-            };
-    }
-
     TournamentResult result = runTournament(options);
-    if (warm_only) {
-        // Warming worker: the artifacts are in the shared store; the
-        // parent renders. Only the store line goes out (stderr).
-        reportStoreStats();
-        return 0;
-    }
 
     if (json) {
         // The shared renderer (also behind the daemon's `tournament`
         // verb) carries no cache counters, so stdout stays
-        // byte-identical between cold, warm, fleet, and served runs
-        // (CI diffs it); the counters go to stderr below.
+        // byte-identical between cold, warm, and served runs and any
+        // worker count (CI diffs it); the counters go to stderr below.
         std::fputs(renderTournamentJson(options, result).c_str(),
                    stdout);
         reportStoreStats();
@@ -907,11 +840,9 @@ requestCli(const std::vector<std::string> &args)
                 mcd_fatal("--mode must be 'mcd' or 'sync', not '%s'",
                           mode.c_str());
         } else if (arg == "--freq") {
-            freq = std::strtod(value(i).c_str(), nullptr);
-            if (freq <= 0.0)
-                mcd_fatal("--freq needs a positive frequency in Hz");
+            freq = parseFreqFlag(value(i));
         } else if (arg == "--seed") {
-            seed = std::strtoull(value(i).c_str(), nullptr, 10);
+            seed = parseU64Flag("--seed", value(i));
             have_seed = true;
         } else if (arg == "--scenarios") {
             for (const auto &name : splitScenarioList(value(i)))
@@ -931,7 +862,7 @@ requestCli(const std::vector<std::string> &args)
                     tournament_controllers.push_back(item);
             }
         } else if (arg == "--target-deg") {
-            target_deg = std::strtod(value(i).c_str(), nullptr);
+            target_deg = parseTargetDegFlag(value(i));
             have_target_deg = true;
         } else if (arg == "--json") {
             // accepted for symmetry; request output is always JSON
@@ -1028,87 +959,6 @@ requestCli(const std::vector<std::string> &args)
     return 0;
 }
 
-/**
- * fleet --socket: shard scenario targets across `procs` client
- * connections to one daemon instead of across worker processes. Each
- * target is one scenario name, dispatched as a single-bench `run`;
- * the per-experiment payloads are collated in submission order, so
- * stdout is byte-identical for any --procs (and its "experiments"
- * block matches `mcd_cli run --json --bench <all targets>`).
- */
-int
-fleetSocketCli(const std::vector<std::string> &names,
-               const std::string &socket, int procs)
-{
-    struct Slot
-    {
-        std::string payload;
-        std::string error;
-        bool ok = false;
-    };
-    std::vector<Slot> slots(names.size());
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::uint64_t> cold_units{0};
-    std::atomic<std::uint64_t> warm_units{0};
-
-    int threads = std::max(
-        1, std::min(procs, static_cast<int>(names.size())));
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&] {
-            serve::ServeClient client;
-            std::string error;
-            if (!client.connect(socket, &error)) {
-                std::size_t i;
-                while ((i = next.fetch_add(1)) < slots.size())
-                    slots[i].error = error;
-                return;
-            }
-            std::size_t i;
-            while ((i = next.fetch_add(1)) < slots.size()) {
-                std::vector<std::string> payloads;
-                std::uint64_t cold = 0;
-                std::uint64_t warm = 0;
-                std::string err;
-                if (collectRun(client,
-                               runRequestJson({names[i]}, "", "mcd",
-                                              0.0, 0, false),
-                               payloads, cold, warm, err) &&
-                    payloads.size() == 1) {
-                    slots[i].payload = std::move(payloads[0]);
-                    slots[i].ok = true;
-                    cold_units.fetch_add(cold);
-                    warm_units.fetch_add(warm);
-                } else {
-                    slots[i].error =
-                        err.empty() ? "incomplete result stream"
-                                    : err;
-                }
-            }
-        });
-    }
-    for (auto &worker : workers)
-        worker.join();
-
-    std::size_t failed = 0;
-    std::vector<std::string> payloads;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].ok) {
-            payloads.push_back(std::move(slots[i].payload));
-        } else {
-            ++failed;
-            std::fprintf(stderr, "fleet: %s failed: %s\n",
-                         names[i].c_str(), slots[i].error.c_str());
-        }
-    }
-    printExperimentsDocument(payloads, cold_units.load(),
-                             warm_units.load());
-    std::fprintf(stderr,
-                 "fleet socket: targets=%zu failed=%zu procs=%d\n",
-                 names.size(), failed, threads);
-    return failed == 0 ? 0 : 1;
-}
-
 void
 usage()
 {
@@ -1137,19 +987,16 @@ usage()
         "              [--max-age <seconds>] [--tmp-age <seconds>] "
         "[--json]\n"
         "                                   garbage-collect the store\n"
-        "  mcd_cli fleet <target>[,<target>...] [--procs <n>]\n"
-        "              [--retries <n>] [--store <dir>] [--json]\n"
-        "              [--socket <path>]\n"
-        "                                   shard figure/ablation "
-        "binaries\n"
-        "                                   across worker processes "
-        "sharing\n"
-        "                                   one store; with --socket, "
-        "shard\n"
-        "                                   scenario targets across "
-        "client\n"
-        "                                   connections to a serve "
-        "daemon\n"
+        "  mcd_cli regen <target>[,<target>...] [--store <dir>]\n"
+        "                                   regenerate the paper's "
+        "figures,\n"
+        "                                   tables and ablations in "
+        "order in\n"
+        "                                   one process (one shared "
+        "cache);\n"
+        "                                   rerun against the same "
+        "store to\n"
+        "                                   resume an interrupted run\n"
         "  mcd_cli profile <scenario> [--controller <spec>] [--json]\n"
         "                                   run one experiment with "
         "the\n"
@@ -1190,13 +1037,12 @@ usage()
         "`mcd_cli run`\n"
         "  mcd_cli tournament [--scenarios <name>[,...]|corpus]...\n"
         "              [--controllers <spec>[;<spec>...]]...\n"
-        "              [--target-deg <frac>] [--procs <n>]\n"
-        "              [--retries <n>] [--store <dir>] [--json]\n"
+        "              [--target-deg <frac>] [--store <dir>] [--json]\n"
         "                                   oracle-regret tournament: "
         "score\n"
         "                                   controllers x scenarios "
         "against\n"
-        "                                   the offline Dynamic-X% "
+        "                                   the offline Dynamic-X%% "
         "oracle\n"
         "                                   (default: the adversarial "
         "corpus\n"
@@ -1211,7 +1057,7 @@ usage()
         "  mcd_cli run --bench synthetic:mem=0.8,ilp=4,phases=6\n"
         "  mcd_cli run --bench gsm --store /tmp/mcd-store   # warm it\n"
         "  mcd_cli cache --store /tmp/mcd-store --json\n"
-        "  mcd_cli fleet fig5,table6 --procs 4 --store /tmp/mcd-store\n"
+        "  mcd_cli regen fig5,table6 --store /tmp/mcd-store\n"
         "  mcd_cli cache prune --store /tmp/mcd-store "
         "--max-bytes 100000000\n"
         "  mcd_cli tournament --store /tmp/mcd-store --json\n"
@@ -1223,22 +1069,20 @@ usage()
         "  mcd_cli serve --socket /tmp/mcd.sock --store "
         "/tmp/mcd-store &\n"
         "  mcd_cli request --socket /tmp/mcd.sock --bench gsm,mcf\n"
-        "  mcd_cli fleet gsm,mcf,adpcm --socket /tmp/mcd.sock "
-        "--procs 3\n"
         "  mcd_cli request --socket /tmp/mcd.sock --shutdown\n"
         "\n"
-        "fleet targets: fig2..fig7, table3, table6, endstop, frontend,\n"
-        "               global, interval, listing, mcd_overhead, any\n"
-        "               sibling binary name, or an explicit path\n"
+        "regen targets: %s\n"
         "\n"
         "environment: MCD_INSNS, MCD_WARMUP, MCD_INTERVAL, MCD_JOBS,\n"
+        "             MCD_BENCHMARKS (regen's app list),\n"
         "             MCD_STORE (persistent artifact store root;\n"
         "             --store overrides), MCD_CHECKPOINT (checkpoint\n"
         "             ladder spacing in instructions;\n"
         "             --checkpoint-every overrides), MCD_PROF=1 (phase\n"
         "             profiler on for any tool), MCD_EVENTS (serve\n"
         "             request-trace path; --events overrides),\n"
-        "             MCD_LOG_JSON=1 (structured JSON log lines)\n");
+        "             MCD_LOG_JSON=1 (structured JSON log lines)\n",
+        regenTargetNames().c_str());
 }
 
 } // namespace
@@ -1267,11 +1111,10 @@ main(int argc, char **argv)
     bool do_run = false;
     bool do_cache = false;
     bool do_prune = false;
-    bool do_fleet = false;
+    bool do_regen = false;
     bool do_tournament = false;
-    bool warm_only = false;
     std::vector<std::string> benches;
-    std::vector<std::string> fleet_targets;
+    std::vector<std::string> regen_targets;
     std::vector<std::string> tournament_scenarios;
     std::vector<std::string> tournament_controllers;
     double target_deg = 0.05;
@@ -1283,12 +1126,6 @@ main(int argc, char **argv)
     std::uint64_t checkpoint_every = 0;
     bool have_checkpoint = false;
     std::string store; // --store; "" defers to MCD_STORE
-    std::string fleet_socket; // fleet --socket: serve-daemon mode
-    // Fleet worker processes. Deliberately defaults to serial: each
-    // worker is itself fully multithreaded (MCD_JOBS), so fanning out
-    // processes is an explicit --procs opt-in, not an ambient default.
-    int procs = 1;
-    int retries = 1;
     std::uint64_t max_bytes = 0;
     std::int64_t max_age = -1;
     std::int64_t tmp_age = 3600;
@@ -1309,8 +1146,8 @@ main(int argc, char **argv)
             do_cache = true;
         } else if (arg == "prune" && do_cache) {
             do_prune = true;
-        } else if (arg == "fleet") {
-            do_fleet = true;
+        } else if (arg == "regen") {
+            do_regen = true;
         } else if (arg == "tournament") {
             do_tournament = true;
         } else if (arg == "--scenarios") {
@@ -1318,23 +1155,7 @@ main(int argc, char **argv)
         } else if (arg == "--controllers") {
             tournament_controllers.push_back(value(i));
         } else if (arg == "--target-deg") {
-            char *end = nullptr;
-            std::string v = value(i);
-            target_deg = std::strtod(v.c_str(), &end);
-            if (v.empty() || end != v.c_str() + v.size() ||
-                target_deg < 0.0 || target_deg > 1.0)
-                mcd_fatal("--target-deg needs a fraction in [0, 1], "
-                          "not '%s'", v.c_str());
-        } else if (arg == "--warm-only") {
-            warm_only = true;
-        } else if (arg == "--procs") {
-            procs = static_cast<int>(
-                parseU64Flag("--procs", value(i)));
-            if (procs < 1)
-                mcd_fatal("--procs needs a positive worker count");
-        } else if (arg == "--retries") {
-            retries = static_cast<int>(
-                parseU64Flag("--retries", value(i)));
+            target_deg = parseTargetDegFlag(value(i));
         } else if (arg == "--max-bytes") {
             max_bytes = parseU64Flag("--max-bytes", value(i));
         } else if (arg == "--max-age") {
@@ -1343,18 +1164,9 @@ main(int argc, char **argv)
         } else if (arg == "--tmp-age") {
             tmp_age = static_cast<std::int64_t>(
                 parseU64Flag("--tmp-age", value(i)));
-        } else if (do_fleet && !arg.empty() && arg[0] != '-') {
-            // Scenario-aware splitting: identical to splitList for
-            // binary targets (no ':' in their names), and it keeps a
-            // `synthetic:` scenario's knobs together for --socket
-            // mode, where targets are scenario names.
-            for (const auto &name : splitScenarioList(arg))
-                fleet_targets.push_back(name);
-        } else if (arg == "--socket") {
-            fleet_socket = value(i);
-            if (!do_fleet)
-                mcd_fatal("--socket only applies to fleet (or the "
-                          "serve/request subcommands)");
+        } else if (do_regen && !arg.empty() && arg[0] != '-') {
+            for (const auto &name : splitList(arg))
+                regen_targets.push_back(name);
         } else if (arg == "--store") {
             store = value(i);
             if (store.empty())
@@ -1379,11 +1191,9 @@ main(int argc, char **argv)
                 mcd_fatal("--mode must be 'mcd' or 'sync', not '%s'",
                           v.c_str());
         } else if (arg == "--freq") {
-            freq = std::strtod(value(i).c_str(), nullptr);
-            if (freq <= 0.0)
-                mcd_fatal("--freq needs a positive frequency in Hz");
+            freq = parseFreqFlag(value(i));
         } else if (arg == "--seed") {
-            seed = std::strtoull(value(i).c_str(), nullptr, 10);
+            seed = parseU64Flag("--seed", value(i));
             have_seed = true;
         } else if (arg == "--checkpoint-every") {
             checkpoint_every =
@@ -1407,29 +1217,15 @@ main(int argc, char **argv)
                                  have_seed, store, checkpoint_every,
                                  have_checkpoint, json);
     }
-    if (do_tournament) {
-        // Workers share the parent's store; resolve the root here so
-        // the fleet env and the parent's cache agree on it.
-        std::string root =
-            store.empty() ? standardConfig().store : store;
+    if (do_tournament)
         return tournamentCli(tournament_scenarios,
-                             tournament_controllers, target_deg, procs,
-                             retries, root, warm_only, json);
-    }
-    if (do_fleet) {
-        if (fleet_targets.empty())
-            mcd_fatal("fleet needs at least one target "
-                      "(e.g. fleet fig5,table6)");
-        // Socket mode: targets are scenario names, dispatched to a
-        // running serve daemon over --procs connections instead of
-        // spawning worker processes.
-        if (!fleet_socket.empty())
-            return fleetSocketCli(fleet_targets, fleet_socket, procs);
-        // Workers inherit MCD_STORE unless --store overrides; resolve
-        // here so the merged report and the children agree on the root.
-        std::string root =
-            store.empty() ? standardConfig().store : store;
-        return fleetCli(fleet_targets, procs, retries, root, json);
+                             tournament_controllers, target_deg, store,
+                             json);
+    if (do_regen) {
+        if (regen_targets.empty())
+            mcd_fatal("regen needs at least one target "
+                      "(e.g. regen fig5,table6)");
+        return regenCli(regen_targets, store);
     }
     if (do_cache) {
         // Standalone `cache` reports on the persistent layer (--store

@@ -1,8 +1,8 @@
 #include "sweep_util.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/env.hh"
 #include "harness/parallel_sweep.hh"
 
 namespace mcd::bench
@@ -11,8 +11,11 @@ namespace mcd::bench
 std::vector<std::string>
 sweepBenchmarks()
 {
-    if (std::getenv("MCD_BENCHMARKS"))
-        return selectedBenchmarks();
+    // Decide on the parsed list, not the raw variable: a set-but-empty
+    // MCD_BENCHMARKS ("", ",,") counts as unset, as everywhere else.
+    auto names = envScenarioList("MCD_BENCHMARKS");
+    if (!names.empty())
+        return names;
     // A representative mix: media, pointer-chasing, memory-bound,
     // compute-bound integer and floating point.
     return {"adpcm", "epic", "jpeg", "bh", "em3d", "health",

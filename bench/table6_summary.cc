@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "figures.hh"
 #include "bench_util.hh"
 #include "harness/metrics.hh"
 
@@ -48,12 +49,11 @@ addRow(TextTable &table, const AlgorithmSummary &s)
 
 } // namespace
 
-int
-main()
+void
+mcd::bench::table6Summary(RunnerConfig config)
 {
     std::printf("=== Table 6: algorithm comparison relative to the "
                 "baseline MCD processor ===\n");
-    RunnerConfig config = standardConfig();
     printMethodology(config);
     Runner runner(config);
 
@@ -123,6 +123,4 @@ main()
                     "improvement (paper: 85.5%%)\n",
                     pct(ad_edp / d1_edp).c_str());
     }
-    reportStoreStats();
-    return 0;
 }

@@ -21,8 +21,8 @@ namespace
 thread_local int fatal_scope_depth = 0;
 
 // MCD_LOG_JSON=1 switches warn/inform to one-line JSON records so
-// daemon and fleet stderr is machine-parseable. Checked live (not
-// cached): log calls are never hot, and tests flip the variable.
+// daemon and batch-tool stderr is machine-parseable. Checked live
+// (not cached): log calls are never hot, and tests flip the variable.
 bool
 logJson()
 {

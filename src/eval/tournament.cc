@@ -169,30 +169,6 @@ runTournament(const TournamentOptions &options)
             mcd_fatal("unknown controller '%s' (try: mcd_cli list)",
                       entry.spec.name.c_str());
 
-    // Fleet warming: worker processes fill the shared store with
-    // disjoint scenario columns; the parent then reads everything
-    // back from it. A failed worker only costs its unwritten
-    // artifacts — the parent recomputes whatever is missing, so the
-    // result is identical either way.
-    if (options.procs > 1 && options.makeWorker) {
-        if (options.config.store.empty())
-            mcd_fatal("tournament --procs %d needs a shared --store",
-                      options.procs);
-        std::vector<FleetTarget> targets;
-        for (const auto &scenario : options.scenarios)
-            targets.push_back(options.makeWorker(scenario));
-        FleetOptions fleet;
-        fleet.procs = options.procs;
-        fleet.retries = options.retries;
-        fleet.store = options.config.store;
-        FleetReport report = runFleet(targets, fleet);
-        for (const FleetResult &target : report.targets)
-            if (!target.succeeded)
-                mcd_warn("tournament warm worker '%s' failed (exit "
-                         "%d); recomputing in-process",
-                         target.name.c_str(), target.exitCode);
-    }
-
     // Scenario columns fan out across the sweep workers; each column
     // is serial inside. Collation is in scenario order, controllers
     // in entry order within a column, so the cell list is
@@ -346,7 +322,7 @@ renderTournamentJson(const TournamentOptions &options,
         out += i + 1 < result.standings.size() ? ",\n" : "\n";
     }
     // No cache counters: tournament stdout stays byte-identical
-    // between cold, warm, fleet, and served runs (CI diffs it); the
+    // between cold, warm, and served runs (CI diffs it); the
     // counters travel separately (stderr / the daemon's stats reply).
     out += "    ]\n  }\n}\n";
     return out;

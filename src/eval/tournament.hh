@@ -10,10 +10,9 @@
  * the profiling pass and baseline per scenario, the whole offline
  * search, and one EvalTrace per cell — so a warm store replays an
  * entire tournament with zero simulations and byte-identical output.
- * With `procs > 1` and a shared store, a warming fleet of worker
- * processes (harness/fleet.hh) computes disjoint scenario slices
- * first; the parent then assembles the table entirely from the store,
- * which is why the output is byte-identical for any process count.
+ * Scenario columns fan out across the ParallelSweep workers
+ * (`config.jobs`) and collate in scenario order, so the output is
+ * byte-identical for any worker count.
  *
  * The standing adversarial corpus (`adversarialCorpus()`) is the
  * controller-regression suite: regime-switching `synthetic:` inputs
@@ -24,12 +23,10 @@
 #ifndef MCD_EVAL_TOURNAMENT_HH
 #define MCD_EVAL_TOURNAMENT_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "eval/regret.hh"
-#include "harness/fleet.hh"
 
 namespace mcd
 {
@@ -52,21 +49,6 @@ struct TournamentOptions
 
     /** Methodology + machine; `store` enables cross-process reuse. */
     RunnerConfig config;
-
-    /** Warming worker processes (1 = in-process only). > 1 requires
-     *  `config.store` and `makeWorker`. */
-    int procs = 1;
-
-    /** Respawns per warming worker after a crash. */
-    int retries = 1;
-
-    /**
-     * Builds the warming fleet target for one scenario: a process
-     * that computes that scenario's column of the tournament against
-     * the shared store (e.g. `mcd_cli tournament --scenarios <s>
-     * --warm-only`). Unset disables the fleet path.
-     */
-    std::function<FleetTarget(const std::string &scenario)> makeWorker;
 
     /** Flip/tolerance thresholds; `skipIntervals` is derived from the
      *  warm-up window, not taken from here. */
@@ -113,12 +95,12 @@ std::vector<std::string> adversarialCorpus();
  *  sluggish Attack/Decay variant, and the uncontrolled baseline. */
 std::vector<TournamentEntry> defaultTournamentEntries();
 
-/** Run the full cross-product; deterministic for any worker/process
- *  count. Fatal on unknown scenario or controller names. */
+/** Run the full cross-product; deterministic for any worker count.
+ *  Fatal on unknown scenario or controller names. */
 TournamentResult runTournament(const TournamentOptions &options);
 
 /** Render the per-cell table + league table as text (mcd_cli's
- *  non-JSON output; byte-stable across runs and process counts). */
+ *  non-JSON output; byte-stable across runs and worker counts). */
 std::string renderTournament(const TournamentResult &result);
 
 /**
@@ -126,7 +108,7 @@ std::string renderTournament(const TournamentResult &result);
  * renderer behind `mcd_cli tournament --json` and the serve daemon's
  * `tournament` verb, so a served tournament reply is byte-identical
  * to the direct CLI's stdout. Deliberately carries no cache counters:
- * the document stays byte-stable between cold, warm, and fleet runs.
+ * the document stays byte-stable between cold and warm runs.
  */
 std::string renderTournamentJson(const TournamentOptions &options,
                                  const TournamentResult &result);

@@ -365,9 +365,9 @@ class ArtifactCache
  *          instructions=160000 disk_entries=8 disk_bytes=4096
  *          root=/tmp/store
  * (one line; disk fields only with a disk layer attached). Every
- * call site — figure binaries, fleet workers, the serve daemon —
+ * call site — `mcd_cli regen`/`tournament`, the serve daemon —
  * renders through here so the fields can't drift apart from the
- * counters or from fleet's worker-stderr parser.
+ * counters or from each other.
  */
 std::string storeStatsLine(const ArtifactCache &cache);
 

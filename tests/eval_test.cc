@@ -2,32 +2,25 @@
  * @file
  * Tests for the controller stress lab (src/eval/): golden-value regret
  * metrics on a hand-constructed two-regime trace, EvalTrace artifact
- * round-trips and caching (memory, disk, cross-"process"), and — by
- * re-executing this binary as fleet workers (EvalWorker.Run below) —
- * the tournament determinism contract: a 2-process warming fleet plus
- * a render pass produces byte-identical league tables to a serial
- * run, and the warm render executes zero simulations. Also pins the
- * stress lab's reason to exist: an adversarial scenario separates
- * Attack/Decay from the offline oracle further than a paper app does.
+ * round-trips and caching (memory, disk, cross-"process"), the
+ * tournament determinism contract (byte-identical league tables for
+ * any worker count, and a warm re-render executes zero simulations),
+ * and the stress lab's reason to exist: an adversarial scenario
+ * separates Attack/Decay from the offline oracle further than a paper
+ * app does.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
-#include "common/env.hh"
 #include "eval/regret.hh"
 #include "eval/tournament.hh"
 #include "eval/trace.hh"
-#include "harness/fleet.hh"
 #include "workload/scenario_registry.hh"
 
 namespace mcd
@@ -37,20 +30,9 @@ namespace
 
 namespace fs = std::filesystem;
 
-std::string
-selfPath()
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n <= 0)
-        return "";
-    buf[n] = '\0';
-    return buf;
-}
-
-/** The tiny methodology every cross-process piece of this suite
- *  shares; explicit fields, no env reads, so parent and re-executed
- *  workers agree on every cache key. */
+/** The tiny methodology every store-backed piece of this suite
+ *  shares; explicit fields, no env reads, so every run agrees on
+ *  every cache key. */
 RunnerConfig
 tinyConfig()
 {
@@ -342,116 +324,56 @@ TEST(Tournament, AdversarialScenarioSeparatesAttackDecayFromOracle)
     EXPECT_GT(adversarial.regret.edpGap, 0.0);
 }
 
-// ------------------------------------- tournament fleet determinism
+// ------------------------------------------- tournament determinism
 
 /**
- * Worker mode: when MCD_EVAL_WORKER_SCENARIOS is set (the fleet tests
- * spawn this binary with it), run the tiny tournament over those
- * scenarios against the fleet's MCD_STORE, write the rendered tables
- * to MCD_EVAL_OUT (when set), and print the `store:` stderr line the
- * driver merges. Skipped in a normal test run.
+ * The tournament determinism contract: scenario columns fan out across
+ * the sweep workers, yet one worker and four render byte-identical
+ * text and JSON, and a re-render from the disk store through a fresh
+ * cache (a cold process) executes zero simulations.
  */
-TEST(EvalWorker, Run)
+TEST_F(EvalStoreTest, TournamentIsWorkerCountInvariantAndWarmRenderIsFree)
 {
-    const char *scenarios =
-        std::getenv("MCD_EVAL_WORKER_SCENARIOS");
-    if (scenarios == nullptr)
-        GTEST_SKIP() << "eval-worker mode only";
-
+    ArtifactCache &cache = ArtifactCache::instance();
     TournamentOptions options;
-    options.scenarios = splitScenarioList(scenarios);
+    options.scenarios = {"synthetic:square=1000,mem=0.5",
+                         "synthetic:markov=8,mem=0.5"};
     options.controllers = defaultTournamentEntries();
     options.config = tinyConfig();
-    options.config.store = envString("MCD_STORE");
 
-    TournamentResult result = runTournament(options);
-    if (const char *out = std::getenv("MCD_EVAL_OUT")) {
-        std::ofstream file(out);
-        file << renderTournament(result);
-    }
-    ArtifactCache &cache = ArtifactCache::instance();
-    std::fprintf(
-        stderr,
-        "store: lookups=%llu hits=%llu disk_hits=%llu "
-        "simulations=%llu\n",
-        static_cast<unsigned long long>(cache.lookups()),
-        static_cast<unsigned long long>(cache.hits()),
-        static_cast<unsigned long long>(cache.diskHits()),
-        static_cast<unsigned long long>(cache.simulationsRun()));
-}
-
-class TournamentFleetTest : public EvalStoreTest
-{
-  protected:
-    /** One EvalWorker.Run child over `scenarios` against `store`,
-     *  rendering to `out` (empty = warm-only). */
-    FleetTarget
-    workerTarget(const std::string &name, const std::string &scenarios,
-                 const std::string &out) const
+    struct Rendered
     {
-        FleetTarget target;
-        target.name = name;
-        std::string script =
-            "MCD_EVAL_WORKER_SCENARIOS='" + scenarios + "'";
-        if (!out.empty())
-            script += " MCD_EVAL_OUT='" + out + "'";
-        script += " exec \"$0\" --gtest_filter=EvalWorker.Run"
-                  " --gtest_brief=1";
-        target.argv = {"/bin/sh", "-c", script, selfPath()};
-        return target;
-    }
+        std::string text;
+        std::string json;
+    };
+    // Each render starts from a fresh cache over `store`.
+    auto render = [&](int jobs, const std::string &store) {
+        cache.detachDiskStore();
+        cache.clear();
+        options.config.jobs = jobs;
+        options.config.store = store;
+        TournamentResult result = runTournament(options);
+        return Rendered{renderTournament(result),
+                        renderTournamentJson(options, result)};
+    };
 
-    static std::string
-    slurp(const std::string &path)
-    {
-        std::ifstream file(path);
-        std::stringstream buffer;
-        buffer << file.rdbuf();
-        return buffer.str();
-    }
-};
+    Rendered serial = render(1, dir_ + "/store-serial");
+    EXPECT_GT(cache.simulationsRun(), 0u);
+    EXPECT_NE(serial.text.find("league table"), std::string::npos);
 
-/**
- * The tournament determinism contract across the fleet path: a
- * 2-process warming fleet over disjoint scenario slices plus a render
- * pass from the warm store reproduces the serial league table byte
- * for byte, and the warm render executes zero simulations.
- */
-TEST_F(TournamentFleetTest, FleetPathMatchesSerialAndWarmRenderIsFree)
-{
-    ASSERT_FALSE(selfPath().empty());
-    const std::string s0 = "synthetic:square=1000,mem=0.5";
-    const std::string s1 = "synthetic:markov=8,mem=0.5";
-    const std::string both = s0 + "," + s1;
+    Rendered wide = render(4, dir_ + "/store-wide");
+    EXPECT_GT(cache.simulationsRun(), 0u);
+    EXPECT_EQ(wide.text, serial.text);
+    EXPECT_EQ(wide.json, serial.json);
 
-    // Serial reference: one worker computes and renders everything.
-    FleetOptions serial;
-    serial.procs = 1;
-    serial.store = dir_ + "/store-serial";
-    FleetReport ref = runFleet(
-        {workerTarget("serial", both, dir_ + "/serial.txt")}, serial);
-    ASSERT_EQ(ref.failed, 0u);
-    std::string expected = slurp(dir_ + "/serial.txt");
-    ASSERT_FALSE(expected.empty());
-    EXPECT_NE(expected.find("league table"), std::string::npos);
+    Rendered warm = render(4, dir_ + "/store-wide");
+    EXPECT_EQ(cache.simulationsRun(), 0u);
+    EXPECT_GT(cache.diskHits(), 0u);
+    EXPECT_EQ(warm.text, serial.text);
+    EXPECT_EQ(warm.json, serial.json);
 
-    // Fleet path: two warm-only workers fill a fresh store
-    // concurrently, then a render pass reads it back.
-    FleetOptions wide;
-    wide.procs = 2;
-    wide.store = dir_ + "/store-fleet";
-    FleetReport warm = runFleet({workerTarget("w0", s0, ""),
-                                 workerTarget("w1", s1, "")},
-                                wide);
-    ASSERT_EQ(warm.failed, 0u);
-    EXPECT_GT(warm.merged.simulations, 0u);
-
-    FleetReport render = runFleet(
-        {workerTarget("render", both, dir_ + "/fleet.txt")}, wide);
-    ASSERT_EQ(render.failed, 0u);
-    EXPECT_EQ(slurp(dir_ + "/fleet.txt"), expected);
-    ASSERT_TRUE(render.targets[0].store.present);
-    EXPECT_EQ(render.targets[0].store.simulations, 0u);
+    cache.detachDiskStore();
+    cache.clear();
 }
 
 } // namespace
