@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "figures.hh"
-#include "common/logging.hh"
 #include "sweep_util.hh"
 
 using namespace mcd;
@@ -73,15 +72,11 @@ registerPinnedFrontEnd()
     registry.add(
         "pinned_frontend",
         "front end pinned to `freq` (Hz); back end at maximum",
+        {{"freq", true, "Hz"}},
         [](const ControllerSpec &spec)
             -> std::unique_ptr<FrequencyController> {
-            ControllerRegistry::checkParams(spec, {"freq"});
-            auto it = spec.params.find("freq");
-            if (it == spec.params.end())
-                mcd_fatal("controller 'pinned_frontend' requires a "
-                          "'freq' parameter (Hz)");
             return std::make_unique<PinnedFrontEndController>(
-                it->second);
+                spec.params.at("freq"));
         });
 }
 

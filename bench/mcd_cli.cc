@@ -39,6 +39,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,6 +57,7 @@
 #include "serve/server.hh"
 #include "telemetry/profiler.hh"
 #include "telemetry/stat_registry.hh"
+#include "workload/benchmark_factory.hh"
 #include "workload/scenario_registry.hh"
 
 using namespace mcd;
@@ -82,7 +84,7 @@ listRegistries(bool json)
     // parametric template families with their full knob sets.
     std::vector<std::string> suites;
     for (const auto &name : scenarios.scenarioNames()) {
-        std::string suite = scenarios.spec(name).suite;
+        std::string suite = BenchmarkFactory::spec(name).suite;
         if (std::find(suites.begin(), suites.end(), suite) ==
             suites.end())
             suites.push_back(suite);
@@ -93,7 +95,7 @@ listRegistries(bool json)
         bool first = true;
         for (const auto &suite : suites) {
             for (const auto &name : scenarios.scenarioNames()) {
-                if (scenarios.spec(name).suite != suite)
+                if (BenchmarkFactory::spec(name).suite != suite)
                     continue;
                 out += first ? "\n" : ",\n";
                 first = false;
@@ -136,7 +138,7 @@ listRegistries(bool json)
         TextTable suite_table("paper applications — " + suite);
         suite_table.setHeader({"name"});
         for (const auto &name : scenarios.scenarioNames())
-            if (scenarios.spec(name).suite == suite)
+            if (BenchmarkFactory::spec(name).suite == suite)
                 suite_table.addRow({name});
         std::printf("%s\n", suite_table.render().c_str());
     }
@@ -212,6 +214,17 @@ parseTargetDegFlag(const std::string &text)
         mcd_fatal("--target-deg needs a fraction in [0, 1], not '%s'",
                   text.c_str());
     return deg;
+}
+
+/** A `--controller`/`--controllers` spec; malformed text is fatal. */
+ControllerSpec
+parseControllerFlag(const std::string &text)
+{
+    ControllerSpec spec;
+    std::string error;
+    if (!parseControllerSpec(text, spec, &error))
+        mcd_fatal("%s", error.c_str());
+    return spec;
 }
 
 // ------------------------------------------------------------ cache
@@ -329,6 +342,12 @@ regenCli(const std::vector<std::string> &names, const std::string &store)
     RunnerConfig config = standardConfig();
     if (!store.empty())
         config.store = store; // --store overrides MCD_STORE
+    // Likewise every MCD_BENCHMARKS scenario the targets will sweep.
+    std::string error;
+    for (const auto &name : envScenarioList("MCD_BENCHMARKS"))
+        if (!validateExperiment(makeSpec(config, name, ControllerSpec{}),
+                                &error))
+            mcd_fatal("%s", error.c_str());
     for (const RegenTarget *target : targets)
         target->run(config);
     reportStoreStats();
@@ -364,27 +383,17 @@ tournamentCli(const std::vector<std::string> &scenario_args,
         }
     }
 
-    // Controllers: each --controllers value holds ';'-separated
-    // controller specs (commas belong to the specs' own parameters).
-    for (const auto &arg : controller_args) {
-        std::size_t pos = 0;
-        while (pos <= arg.size()) {
-            auto semi = arg.find(';', pos);
-            std::string item = arg.substr(
-                pos, semi == std::string::npos ? std::string::npos
-                                               : semi - pos);
-            pos = semi == std::string::npos ? arg.size() + 1
-                                            : semi + 1;
-            if (item.empty())
-                continue;
-            TournamentEntry entry;
-            entry.label = item;
-            entry.spec = parseControllerSpec(item);
-            options.controllers.push_back(std::move(entry));
-        }
-    }
+    // Each --controllers value holds ';'-separated specs (commas
+    // belong to the specs' own parameters).
+    for (const auto &arg : controller_args)
+        for (const auto &item : splitList(arg, ';'))
+            options.controllers.push_back(
+                {item, parseControllerFlag(item)});
     if (options.controllers.empty())
         options.controllers = defaultTournamentEntries();
+    std::string error;
+    if (!validateTournament(options, &error))
+        mcd_fatal("%s", error.c_str());
 
     TournamentResult result = runTournament(options);
 
@@ -463,12 +472,12 @@ runExperimentsCli(const std::vector<std::string> &benches,
         config.checkpointEvery = checkpoint_every;
 
     std::vector<ExperimentSpec> specs;
+    std::string error;
     for (const auto &bench : benches) {
-        if (!ScenarioRegistry::instance().contains(bench))
-            mcd_fatal("unknown scenario '%s' (try: mcd_cli list)",
-                      bench.c_str());
         specs.push_back(makeSpec(config, bench, controller, mode,
                                  freq));
+        if (!validateExperiment(specs.back(), &error))
+            mcd_fatal("%s", error.c_str());
     }
 
     auto results = runExperiments(specs, config.jobs);
@@ -536,7 +545,7 @@ profileCli(const std::vector<std::string> &args)
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--controller") {
-            controller = parseControllerSpec(value(i));
+            controller = parseControllerFlag(value(i));
         } else if (arg == "--json") {
             json = true;
         } else if (!arg.empty() && arg[0] != '-') {
@@ -551,17 +560,17 @@ profileCli(const std::vector<std::string> &args)
     if (bench.empty())
         mcd_fatal("profile needs a scenario "
                   "(e.g. mcd_cli profile gsm)");
-    if (!ScenarioRegistry::instance().contains(bench))
-        mcd_fatal("unknown scenario '%s' (try: mcd_cli list)",
-                  bench.c_str());
 
     RunnerConfig config = standardConfig();
     config.store.clear(); // always simulate; never profile a disk hit
+    ExperimentSpec spec = makeSpec(config, bench, controller);
+    std::string error;
+    if (!validateExperiment(spec, &error))
+        mcd_fatal("%s", error.c_str());
 
     telemetry::setProfiling(true);
     telemetry::resetPhaseHistograms();
 
-    ExperimentSpec spec = makeSpec(config, bench, controller);
     auto wall_start = std::chrono::steady_clock::now();
     SimStats stats = ArtifactCache::instance().getOrRun(spec);
     auto wall_ns = static_cast<std::uint64_t>(
@@ -848,19 +857,8 @@ requestCli(const std::vector<std::string> &args)
             for (const auto &name : splitScenarioList(value(i)))
                 tournament_scenarios.push_back(name);
         } else if (arg == "--controllers") {
-            // Same ';'-separated grammar as `mcd_cli tournament`.
-            std::string v = value(i);
-            std::size_t pos = 0;
-            while (pos <= v.size()) {
-                auto semi = v.find(';', pos);
-                std::string item = v.substr(
-                    pos, semi == std::string::npos ? std::string::npos
-                                                   : semi - pos);
-                pos = semi == std::string::npos ? v.size() + 1
-                                                : semi + 1;
-                if (!item.empty())
-                    tournament_controllers.push_back(item);
-            }
+            for (const auto &item : splitList(value(i), ';'))
+                tournament_controllers.push_back(item);
         } else if (arg == "--target-deg") {
             target_deg = parseTargetDegFlag(value(i));
             have_target_deg = true;
@@ -1085,12 +1083,53 @@ usage()
         regenTargetNames().c_str());
 }
 
-} // namespace
+/**
+ * Fatal unless every flag in `flags` is read by one of the chosen
+ * batch verbs: the batch verbs share one grammar, and a flag the verb
+ * ignores (`regen table3 --seed 5`) would otherwise look like it
+ * worked.
+ */
+void
+checkVerbFlags(const std::vector<std::string> &flags, bool list, bool run,
+               bool cache, bool prune, bool regen, bool tournament)
+{
+    struct Verb
+    {
+        const char *name;
+        bool chosen;
+        std::vector<std::string> flags;
+    };
+    const Verb verbs[] = {
+        {"list", list, {"--json"}},
+        {"run", run,
+         {"--bench", "--controller", "--mode", "--freq", "--seed",
+          "--store", "--checkpoint-every", "--json"}},
+        {"cache", cache && !prune, {"--store", "--json"}},
+        {"cache prune", prune,
+         {"--store", "--max-bytes", "--max-age", "--tmp-age", "--json"}},
+        {"regen", regen, {"--store"}},
+        {"tournament", tournament,
+         {"--scenarios", "--controllers", "--target-deg", "--store",
+          "--json"}},
+    };
+    for (const auto &flag : flags) {
+        std::string chosen;
+        bool read = false;
+        for (const Verb &verb : verbs) {
+            if (!verb.chosen)
+                continue;
+            chosen += (chosen.empty() ? "" : "/") + std::string(verb.name);
+            read = read || std::find(verb.flags.begin(), verb.flags.end(),
+                                     flag) != verb.flags.end();
+        }
+        if (!read && !chosen.empty())
+            mcd_fatal("%s does not take %s", chosen.c_str(), flag.c_str());
+    }
+}
 
 int
-main(int argc, char **argv)
+runCli(std::vector<std::string> args)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
     if (args.empty()) {
         usage();
         return 2;
@@ -1136,8 +1175,12 @@ main(int argc, char **argv)
         return args[++i];
     };
 
+    std::vector<std::string> flags; // every --flag given, for the
+                                    // per-verb check below
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        if (arg.rfind("--", 0) == 0 && arg != "--list")
+            flags.push_back(arg);
         if (arg == "list" || arg == "--list") {
             do_list = true;
         } else if (arg == "run") {
@@ -1180,7 +1223,7 @@ main(int argc, char **argv)
             for (const auto &name : splitScenarioList(value(i)))
                 benches.push_back(name);
         } else if (arg == "--controller") {
-            controller = parseControllerSpec(value(i));
+            controller = parseControllerFlag(value(i));
         } else if (arg == "--mode") {
             std::string v = value(i);
             if (v == "mcd")
@@ -1207,6 +1250,9 @@ main(int argc, char **argv)
             mcd_fatal("unknown argument '%s'", arg.c_str());
         }
     }
+
+    checkVerbFlags(flags, do_list, do_run, do_cache, do_prune, do_regen,
+                   do_tournament);
 
     if (do_list)
         listRegistries(json);
@@ -1242,4 +1288,17 @@ main(int argc, char **argv)
         return 2;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return runCli({argv + 1, argv + argc});
+    } catch (const std::exception &e) { // an environment fault mid-run
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        return 1;
+    }
 }

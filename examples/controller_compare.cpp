@@ -15,6 +15,7 @@
 
 #include "harness/runner.hh"
 #include "harness/table.hh"
+#include "workload/scenario_registry.hh"
 
 int
 main(int argc, char **argv)
@@ -27,6 +28,15 @@ main(int argc, char **argv)
         while (std::getline(ss, item, ','))
             if (!item.empty())
                 benches.push_back(item);
+    }
+    for (const auto &bench : benches) {
+        mcd::BenchmarkSpec spec;
+        std::string error;
+        if (!mcd::ScenarioRegistry::instance().resolve(bench, spec,
+                                                       &error)) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return 1;
+        }
     }
 
     mcd::RunnerConfig config;

@@ -14,6 +14,7 @@
 
 #include "harness/runner.hh"
 #include "harness/table.hh"
+#include "workload/scenario_registry.hh"
 
 int
 main(int argc, char **argv)
@@ -21,6 +22,12 @@ main(int argc, char **argv)
     std::string bench = argc > 1 ? argv[1] : "epic";
     std::uint64_t instructions =
         argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 200000;
+    mcd::BenchmarkSpec spec;
+    std::string error;
+    if (!mcd::ScenarioRegistry::instance().resolve(bench, spec, &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 1;
+    }
 
     mcd::RunnerConfig config;
     config.instructions = instructions;

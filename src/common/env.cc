@@ -61,12 +61,12 @@ envString(const char *name, const std::string &fallback)
 }
 
 std::vector<std::string>
-splitList(const std::string &text)
+splitList(const std::string &text, char separator)
 {
     std::vector<std::string> items;
     std::stringstream ss(text);
     std::string item;
-    while (std::getline(ss, item, ','))
+    while (std::getline(ss, item, separator))
         if (!item.empty())
             items.push_back(item);
     return items;
@@ -105,6 +105,28 @@ envScenarioList(const char *name)
     if (!s || !*s)
         return {};
     return splitScenarioList(s);
+}
+
+bool
+parseKeyValues(const std::string &text,
+               std::map<std::string, double> &out, KeyValueError &error)
+{
+    for (const std::string &item : splitList(text)) {
+        auto eq = item.find('=');
+        if (eq == std::string::npos || eq == 0) {
+            error = {true, item, ""};
+            return false;
+        }
+        std::string value = item.substr(eq + 1);
+        char *end = nullptr;
+        double v = std::strtod(value.c_str(), &end);
+        if (value.empty() || end != value.c_str() + value.size()) {
+            error = {false, item.substr(0, eq), value};
+            return false;
+        }
+        out[item.substr(0, eq)] = v;
+    }
+    return true;
 }
 
 } // namespace mcd

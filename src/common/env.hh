@@ -12,6 +12,7 @@
 #define MCD_COMMON_ENV_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,9 @@ std::string envString(const char *name,
  */
 std::vector<std::string> envList(const char *name);
 
-/** Split an arbitrary string on commas, dropping empty items. */
-std::vector<std::string> splitList(const std::string &text);
+/** Split an arbitrary string on `separator`, dropping empty items. */
+std::vector<std::string> splitList(const std::string &text,
+                                   char separator = ',');
 
 /**
  * Split a comma-separated scenario list, keeping parametric family
@@ -64,6 +66,21 @@ std::vector<std::string> splitScenarioList(const std::string &text);
 
 /** splitScenarioList over environment variable `name` ({} if unset). */
 std::vector<std::string> envScenarioList(const char *name);
+
+/** The first bad item of a `key=value,...` list: not key=value
+ *  (`key` holds the whole item), or `value` is not a number. */
+struct KeyValueError
+{
+    bool notKeyValue = false;
+    std::string key;
+    std::string value;
+};
+
+/** The `k=v,...` grammar of scenario knobs and controller params:
+ *  numbers by key, empty items skipped, the last repeat kept. */
+bool parseKeyValues(const std::string &text,
+                    std::map<std::string, double> &out,
+                    KeyValueError &error);
 
 } // namespace mcd
 

@@ -327,7 +327,8 @@ std::uint64_t
 Value::getU64(const std::string &key, std::uint64_t fallback) const
 {
     const Value *v = get(key);
-    if (!v || !v->isNumber() || v->number < 0.0)
+    // Out of [0, 2^64) the cast would be undefined.
+    if (!v || !v->isNumber() || !(v->number >= 0.0 && v->number < 0x1p64))
         return fallback;
     return static_cast<std::uint64_t>(v->number);
 }

@@ -69,7 +69,7 @@ class Value
     double getNumber(const std::string &key, double fallback) const;
 
     /** getNumber narrowed to a non-negative integer (truncated);
-     *  negative numbers return `fallback`. */
+     *  numbers outside [0, 2^64) return `fallback`. */
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t fallback) const;
 

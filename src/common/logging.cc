@@ -15,11 +15,6 @@ namespace mcd
 namespace
 {
 
-// Depth of active FatalErrorScopes on this thread. A scope must be
-// entered on the thread that hits the fatal — the serve layer enters
-// one on each connection and worker thread it owns.
-thread_local int fatal_scope_depth = 0;
-
 // MCD_LOG_JSON=1 switches warn/inform to one-line JSON records so
 // daemon and batch-tool stderr is machine-parseable. Checked live
 // (not cached): log calls are never hot, and tests flip the variable.
@@ -77,10 +72,6 @@ emitLog(std::FILE *stream, const char *level, const std::string &msg)
 
 } // namespace
 
-FatalErrorScope::FatalErrorScope() { ++fatal_scope_depth; }
-
-FatalErrorScope::~FatalErrorScope() { --fatal_scope_depth; }
-
 namespace logging_detail
 {
 
@@ -113,8 +104,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    if (fatal_scope_depth > 0)
-        throw FatalError(msg);
     std::fprintf(stderr, "fatal: %s\n  at %s:%d\n", msg.c_str(), file, line);
     std::exit(1);
 }

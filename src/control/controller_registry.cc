@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
 
@@ -25,70 +26,51 @@ paramOr(const ControllerSpec &spec, const char *key, double fallback)
     return it == spec.params.end() ? fallback : it->second;
 }
 
-const std::vector<std::string> attack_decay_keys = {
-    "deviation_threshold", "reaction_change", "decay",
-    "perf_deg_threshold", "endstop_count", "literal_guard",
+const std::vector<ControllerRegistry::Param> attack_decay_params = {
+    {"deviation_threshold", false, ""}, {"reaction_change", false, ""},
+    {"decay", false, ""}, {"perf_deg_threshold", false, ""},
+    {"endstop_count", false, ""}, {"literal_guard", false, ""},
 };
 
 void
 registerBuiltins(ControllerRegistry &registry)
 {
-    registry.add(
-        "none",
-        "uncontrolled: all domains stay at the start frequency",
-        [](const ControllerSpec &spec)
-            -> std::unique_ptr<FrequencyController> {
-            ControllerRegistry::checkParams(spec, {});
-            return nullptr;
-        });
-
-    registry.add(
-        "constant",
-        "all controlled domains pinned to `freq` (Hz)",
-        [](const ControllerSpec &spec)
-            -> std::unique_ptr<FrequencyController> {
-            ControllerRegistry::checkParams(spec, {"freq"});
-            auto it = spec.params.find("freq");
-            if (it == spec.params.end())
-                mcd_fatal("controller 'constant' requires a 'freq' "
-                          "parameter (Hz)");
-            return std::make_unique<ConstantController>(it->second);
-        });
-
+    using Controller = std::unique_ptr<FrequencyController>;
+    registry.add("none",
+                 "uncontrolled: all domains stay at the start frequency",
+                 {}, [](const ControllerSpec &) -> Controller {
+                     return nullptr;
+                 });
+    registry.add("constant",
+                 "all controlled domains pinned to `freq` (Hz)",
+                 {{"freq", true, "Hz"}},
+                 [](const ControllerSpec &spec) -> Controller {
+                     return std::make_unique<ConstantController>(
+                         spec.params.at("freq"));
+                 });
     registry.add(
         "profiling",
         "domains at maximum; records the off-line per-interval profile",
-        [](const ControllerSpec &spec)
-            -> std::unique_ptr<FrequencyController> {
-            ControllerRegistry::checkParams(spec, {});
+        {}, [](const ControllerSpec &) -> Controller {
             return std::make_unique<ProfilingController>();
         });
-
-    registry.add(
-        "schedule",
-        "replays the spec's precomputed per-interval schedule",
-        [](const ControllerSpec &spec)
-            -> std::unique_ptr<FrequencyController> {
-            ControllerRegistry::checkParams(spec, {});
-            return std::make_unique<ScheduleController>(spec.schedule);
-        });
-
-    registry.add(
-        "attack_decay",
-        "the paper's Listing 1 on-line controller (Section 3.1)",
-        [](const ControllerSpec &spec)
-            -> std::unique_ptr<FrequencyController> {
-            ControllerRegistry::checkParams(spec, attack_decay_keys);
-            return std::make_unique<AttackDecayController>(
-                attackDecayConfigFromSpec(spec));
-        });
-
+    registry.add("schedule",
+                 "replays the spec's precomputed per-interval schedule",
+                 {}, [](const ControllerSpec &spec) -> Controller {
+                     return std::make_unique<ScheduleController>(
+                         spec.schedule);
+                 });
+    registry.add("attack_decay",
+                 "the paper's Listing 1 on-line controller (Section 3.1)",
+                 attack_decay_params,
+                 [](const ControllerSpec &spec) -> Controller {
+                     return std::make_unique<AttackDecayController>(
+                         attackDecayConfigFromSpec(spec));
+                 });
     registry.add(
         "frontend_attack_decay",
         "Attack/Decay extended to the front end (Section 7 future work)",
-        [](const ControllerSpec &spec)
-            -> std::unique_ptr<FrequencyController> {
-            ControllerRegistry::checkParams(spec, attack_decay_keys);
+        attack_decay_params, [](const ControllerSpec &spec) -> Controller {
             return std::make_unique<FrontEndAttackDecayController>(
                 attackDecayConfigFromSpec(spec));
         });
@@ -111,40 +93,35 @@ ControllerSpec::appendTo(std::string &out) const
             appendDouble(out, f);
 }
 
-ControllerSpec
-parseControllerSpec(const std::string &text)
+bool
+parseControllerSpec(const std::string &text, ControllerSpec &out,
+                    std::string *error)
 {
     ControllerSpec spec;
     auto colon = text.find(':');
     spec.name = text.substr(0, colon);
     if (spec.name.empty())
-        mcd_fatal("empty controller name in '%s'", text.c_str());
-    if (colon == std::string::npos)
-        return spec;
+        return failWith(error, "empty controller name in '" + text + "'");
+    KeyValueError bad;
+    if (colon != std::string::npos &&
+        !parseKeyValues(text.substr(colon + 1), spec.params, bad))
+        return failWith(error, bad.notKeyValue
+                                   ? "controller parameter '" + bad.key +
+                                         "' is not key=value"
+                                   : "controller parameter '" + bad.key +
+                                         "': '" + bad.value +
+                                         "' is not a number");
+    out = std::move(spec);
+    return true;
+}
 
-    std::string rest = text.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos < rest.size()) {
-        auto comma = rest.find(',', pos);
-        std::string item = rest.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        pos = comma == std::string::npos ? rest.size() : comma + 1;
-        if (item.empty())
-            continue;
-        auto eq = item.find('=');
-        if (eq == std::string::npos || eq == 0)
-            mcd_fatal("controller parameter '%s' is not key=value",
-                      item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string value = item.substr(eq + 1);
-        char *end = nullptr;
-        double v = std::strtod(value.c_str(), &end);
-        if (value.empty() || end != value.c_str() + value.size())
-            mcd_fatal("controller parameter '%s': '%s' is not a number",
-                      key.c_str(), value.c_str());
-        spec.params[key] = v;
-    }
+ControllerSpec
+parseControllerSpec(const std::string &text)
+{
+    ControllerSpec spec;
+    std::string error;
+    if (!parseControllerSpec(text, spec, &error))
+        mcd_panic("malformed controller text: %s", error.c_str());
     return spec;
 }
 
@@ -194,33 +171,62 @@ ControllerRegistry::instance()
 
 void
 ControllerRegistry::add(const std::string &name,
-                        const std::string &description, Factory factory)
+                        const std::string &description,
+                        std::vector<Param> params, Factory factory)
 {
     std::lock_guard<std::mutex> lock(registry_mutex);
-    if (factories_.count(name))
-        mcd_fatal("controller '%s' registered twice", name.c_str());
-    infos_[name] = Info{name, description};
-    factories_[name] = std::move(factory);
+    if (entries_.count(name))
+        mcd_panic("controller '%s' registered twice", name.c_str());
+    entries_[name] = Entry{Info{name, description}, std::move(params),
+                           std::move(factory)};
 }
 
 bool
 ControllerRegistry::contains(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(registry_mutex);
-    return factories_.count(name) > 0;
+    return entries_.count(name) > 0;
+}
+
+bool
+ControllerRegistry::check(const ControllerSpec &spec,
+                          std::string *error) const
+{
+    std::lock_guard<std::mutex> lock(registry_mutex);
+    auto it = entries_.find(spec.name);
+    if (it == entries_.end())
+        return failWith(error, "unknown controller '" + spec.name +
+                                   "' (mcd_cli list shows registered "
+                                   "names)");
+    const std::vector<Param> &declared = it->second.params;
+    for (const auto &[key, value] : spec.params)
+        if (std::none_of(declared.begin(), declared.end(),
+                         [&](const Param &p) { return p.name == key; }))
+            return failWith(error, "controller '" + spec.name +
+                                       "' has no parameter '" + key +
+                                       "'");
+    for (const Param &p : declared)
+        if (p.required && !spec.params.count(p.name))
+            return failWith(error,
+                            "controller '" + spec.name +
+                                "' requires a '" + p.name +
+                                "' parameter" +
+                                (p.unit.empty() ? ""
+                                                : " (" + p.unit + ")"));
+    return true;
 }
 
 std::unique_ptr<FrequencyController>
 ControllerRegistry::create(const ControllerSpec &spec) const
 {
+    std::string error;
+    if (!check(spec, &error))
+        mcd_panic("unchecked controller spec reached the library: %s",
+                  error.c_str());
     Factory factory;
     {
         std::lock_guard<std::mutex> lock(registry_mutex);
-        auto it = factories_.find(spec.name);
-        if (it == factories_.end())
-            mcd_fatal("unknown controller '%s' (mcd_cli list shows "
-                      "registered names)", spec.name.c_str());
-        factory = it->second;
+        factory = entries_.at(spec.name).factory;
     }
     return factory(spec);
 }
@@ -230,22 +236,9 @@ ControllerRegistry::list() const
 {
     std::lock_guard<std::mutex> lock(registry_mutex);
     std::vector<Info> infos;
-    for (const auto &[name, info] : infos_)
-        infos.push_back(info);
+    for (const auto &entry : entries_)
+        infos.push_back(entry.second.info);
     return infos;
-}
-
-void
-ControllerRegistry::checkParams(const ControllerSpec &spec,
-                                const std::vector<std::string> &allowed)
-{
-    for (const auto &[key, value] : spec.params) {
-        (void)value;
-        if (std::find(allowed.begin(), allowed.end(), key) ==
-            allowed.end())
-            mcd_fatal("controller '%s' has no parameter '%s'",
-                      spec.name.c_str(), key.c_str());
-    }
 }
 
 } // namespace mcd

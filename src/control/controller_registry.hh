@@ -41,8 +41,9 @@ struct ControllerSpec
     std::string name = "none";
 
     /**
-     * Numeric knobs, interpreted by the named factory. Unknown keys
-     * are fatal (they are typos, not extensions). Booleans are 0/1.
+     * Numeric knobs, interpreted by the named factory. Undeclared keys
+     * fail ControllerRegistry::check (typos, not extensions). Booleans
+     * are 0/1.
      */
     std::map<std::string, double> params;
 
@@ -58,7 +59,12 @@ struct ControllerSpec
     void appendTo(std::string &out) const;
 };
 
-/** Parse "name" or "name:k=v,k=v" into a spec (fatal on bad input). */
+/** Parse "name" or "name:k=v,k=v" (parseKeyValues) into `out`; false,
+ *  with the reason in `error`, on malformed text. */
+bool parseControllerSpec(const std::string &text, ControllerSpec &out,
+                         std::string *error);
+
+/** The same, for text the program supplies itself (panics). */
 ControllerSpec parseControllerSpec(const std::string &text);
 
 /** The spec equivalent of an AttackDecayConfig (exact round-trip). */
@@ -80,6 +86,14 @@ class ControllerRegistry
     using Factory = std::function<std::unique_ptr<FrequencyController>(
         const ControllerSpec &)>;
 
+    /** One parameter a registration accepts. */
+    struct Param
+    {
+        std::string name;
+        bool required = false;
+        std::string unit; //!< named when a required param is missing
+    };
+
     struct Info
     {
         std::string name;
@@ -89,32 +103,34 @@ class ControllerRegistry
     /** The process-wide registry, with built-ins pre-registered. */
     static ControllerRegistry &instance();
 
-    /** Register a controller family; fatal on duplicate names. */
+    /** Register a family taking exactly `params`; panics on a
+     *  duplicate name. */
     void add(const std::string &name, const std::string &description,
-             Factory factory);
+             std::vector<Param> params, Factory factory);
 
     bool contains(const std::string &name) const;
 
-    /** Instantiate a spec; fatal on unknown names or bad params. */
+    /** The one check of a spec: a registered name, declared params
+     *  only, required params present. */
+    bool check(const ControllerSpec &spec, std::string *error) const;
+
+    /** Instantiate a checked spec; panics on a spec `check` rejects. */
     std::unique_ptr<FrequencyController>
     create(const ControllerSpec &spec) const;
 
     /** All registered families, sorted by name. */
     std::vector<Info> list() const;
 
-    /**
-     * Fatal unless every key of `spec.params` appears in `allowed`;
-     * factories call this so parameter typos fail loudly instead of
-     * silently running defaults.
-     */
-    static void checkParams(const ControllerSpec &spec,
-                            const std::vector<std::string> &allowed);
-
   private:
     ControllerRegistry() = default;
 
-    std::map<std::string, Info> infos_;
-    std::map<std::string, Factory> factories_;
+    struct Entry
+    {
+        Info info;
+        std::vector<Param> params;
+        Factory factory;
+    };
+    std::map<std::string, Entry> entries_;
 };
 
 } // namespace mcd

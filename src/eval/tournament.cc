@@ -153,22 +153,27 @@ defaultTournamentEntries()
     return entries;
 }
 
+bool
+validateTournament(const TournamentOptions &options, std::string *error)
+{
+    if (options.scenarios.empty())
+        return failWith(error, "tournament needs at least one scenario");
+    if (options.controllers.empty())
+        return failWith(error,
+                        "tournament needs at least one controller");
+    BenchmarkSpec spec;
+    for (const auto &scenario : options.scenarios)
+        if (!ScenarioRegistry::instance().resolve(scenario, spec, error))
+            return false;
+    for (const auto &entry : options.controllers)
+        if (!ControllerRegistry::instance().check(entry.spec, error))
+            return false;
+    return true;
+}
+
 TournamentResult
 runTournament(const TournamentOptions &options)
 {
-    if (options.scenarios.empty())
-        mcd_fatal("tournament needs at least one scenario");
-    if (options.controllers.empty())
-        mcd_fatal("tournament needs at least one controller");
-    for (const auto &scenario : options.scenarios)
-        if (!ScenarioRegistry::instance().contains(scenario))
-            mcd_fatal("unknown scenario '%s' (try: mcd_cli list)",
-                      scenario.c_str());
-    for (const auto &entry : options.controllers)
-        if (!ControllerRegistry::instance().contains(entry.spec.name))
-            mcd_fatal("unknown controller '%s' (try: mcd_cli list)",
-                      entry.spec.name.c_str());
-
     // Scenario columns fan out across the sweep workers; each column
     // is serial inside. Collation is in scenario order, controllers
     // in entry order within a column, so the cell list is

@@ -95,8 +95,14 @@ std::vector<std::string> adversarialCorpus();
  *  sluggish Attack/Decay variant, and the uncontrolled baseline. */
 std::vector<TournamentEntry> defaultTournamentEntries();
 
-/** Run the full cross-product; deterministic for any worker count.
- *  Fatal on unknown scenario or controller names. */
+/** The one check every edge makes of user-built options before any
+ *  work: non-empty lists of resolvable scenarios and checked
+ *  controllers. */
+bool validateTournament(const TournamentOptions &options,
+                        std::string *error);
+
+/** Run the full cross-product of validated options; deterministic for
+ *  any worker count. */
 TournamentResult runTournament(const TournamentOptions &options);
 
 /** Render the per-cell table + league table as text (mcd_cli's

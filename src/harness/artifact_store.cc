@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 
 #include <unistd.h>
 
@@ -175,13 +176,13 @@ fileAgeSeconds(const fs::path &path, std::error_code &ec)
 
 /**
  * Unique-temp-then-rename: the only write pattern in the store, so
- * readers never observe partial files. Fatal when `fatal_on_error`
- * (entry writes must not be silently lost); best-effort otherwise
- * (sidecars are advisory metadata).
+ * readers never observe partial files. Throws std::runtime_error when
+ * `throw_on_error` (entry writes must not be silently lost);
+ * best-effort otherwise (sidecars are advisory metadata).
  */
 void
 atomicWrite(const fs::path &final_path, const std::string &data,
-            bool fatal_on_error)
+            bool throw_on_error)
 {
     static std::atomic<std::uint64_t> counter{0};
     fs::path tmp_path = final_path;
@@ -195,9 +196,10 @@ atomicWrite(const fs::path &final_path, const std::string &data,
         if (!out.good()) {
             std::error_code ec;
             fs::remove(tmp_path, ec);
-            if (fatal_on_error)
-                mcd_fatal("cannot write artifact store entry '%s'",
-                          tmp_path.string().c_str());
+            if (throw_on_error)
+                throw std::runtime_error(
+                    "cannot write artifact store entry '" +
+                    tmp_path.string() + "'");
             return;
         }
     }
@@ -205,9 +207,10 @@ atomicWrite(const fs::path &final_path, const std::string &data,
     fs::rename(tmp_path, final_path, ec);
     if (ec) {
         fs::remove(tmp_path, ec);
-        if (fatal_on_error)
-            mcd_fatal("cannot finalize artifact store entry '%s'",
-                      final_path.string().c_str());
+        if (throw_on_error)
+            throw std::runtime_error(
+                "cannot finalize artifact store entry '" +
+                final_path.string() + "'");
     }
 }
 
@@ -244,8 +247,13 @@ DiskStore::get(const std::string &key, std::string &blob)
     std::ifstream in(pathFor(key), std::ios::binary);
     if (!in)
         return false;
-    std::string data((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::string data;
+    try {
+        data.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    } catch (const std::ios_base::failure &) {
+        return false; // unreadable, e.g. a directory: a miss
+    }
     diskReadBytes().inc(data.size());
     if (!in.good() && !in.eof())
         return false;
@@ -286,7 +294,7 @@ DiskStore::put(const std::string &key, const std::string &blob,
     data += body;
     serial::appendU64(data, serial::fnv1a(data));
 
-    atomicWrite(pathFor(key), data, /*fatal_on_error=*/true);
+    atomicWrite(pathFor(key), data, /*throw_on_error=*/true);
     diskWriteBytes().inc(data.size());
 
     if (!provenance.empty()) {
@@ -296,7 +304,7 @@ DiskStore::put(const std::string &key, const std::string &blob,
                            "blob_bytes=" + std::to_string(blob.size()) +
                            "\n" + provenance + "\n";
         atomicWrite(sidecarPathFor(key), meta,
-                    /*fatal_on_error=*/false);
+                    /*throw_on_error=*/false);
     }
 }
 

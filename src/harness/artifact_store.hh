@@ -101,7 +101,8 @@ class MemoryStore : public ArtifactStore
  * blobs, by the determinism contract — harmlessly race on the rename.
  * All failure modes of `get` (missing file, truncation, bad magic or
  * format, checksum mismatch, a different key sharing the hash) return
- * false: the caller recomputes and overwrites.
+ * false: the caller recomputes and overwrites. A `put` that cannot
+ * write or rename its entry throws std::runtime_error.
  */
 class DiskStore : public ArtifactStore
 {

@@ -4,6 +4,7 @@
 #include "common/serial.hh"
 #include "harness/artifact.hh"
 #include "harness/parallel_sweep.hh"
+#include "workload/scenario_registry.hh"
 
 namespace mcd
 {
@@ -188,6 +189,15 @@ GlobalMatchSpec::describe() const
         "type=global_match benchmark=%s target_time=%lld %s",
         benchmark.c_str(), static_cast<long long>(targetTime),
         describeConfig(config).c_str());
+}
+
+bool
+validateExperiment(const ExperimentSpec &spec, std::string *error)
+{
+    BenchmarkSpec scenario;
+    return ScenarioRegistry::instance().resolve(spec.benchmark, scenario,
+                                                error) &&
+           ControllerRegistry::instance().check(spec.controller, error);
 }
 
 SimStats

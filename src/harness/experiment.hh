@@ -141,6 +141,10 @@ struct GlobalMatchSpec
     std::string describe() const;
 };
 
+/** The one check every edge makes of a user-built spec before any
+ *  work: the scenario resolves and the controller passes check(). */
+bool validateExperiment(const ExperimentSpec &spec, std::string *error);
+
 /** Run one ExperimentSpec directly, bypassing the cache. */
 SimStats runExperiment(const ExperimentSpec &spec);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstring>
 
 #include <fcntl.h>
@@ -14,7 +16,6 @@
 #include "eval/tournament.hh"
 #include "harness/parallel_sweep.hh"
 #include "serve/protocol.hh"
-#include "workload/scenario_registry.hh"
 
 namespace mcd::serve
 {
@@ -28,6 +29,29 @@ errorJson(const std::string &code, const std::string &message)
 {
     return "{\"event\": \"error\", \"code\": " + json::str(code) +
            ", \"error\": " + json::str(message) + "}";
+}
+
+/**
+ * Read the optional whole-number field `key` into `out` (unchanged
+ * when absent). False, with the reason in `error`, when the field is
+ * present but not a whole number in [0, max]: a request's typo gets a
+ * bad-request reply instead of silently running a default.
+ */
+bool
+readCount(const json::Value &request, const std::string &key,
+          std::uint64_t max, std::uint64_t &out, std::string *error)
+{
+    const json::Value *v = request.get(key);
+    if (!v)
+        return true;
+    // 0x1p64 bounds the cast itself; `max` bounds the field.
+    if (!v->isNumber() || !(v->number >= 0.0 && v->number < 0x1p64) ||
+        v->number != std::floor(v->number) ||
+        static_cast<std::uint64_t>(v->number) > max)
+        return failWith(error, "\"" + key + "\" must be a whole number "
+                               "in [0, " + std::to_string(max) + "]");
+    out = static_cast<std::uint64_t>(v->number);
+    return true;
 }
 
 /**
@@ -274,10 +298,6 @@ Server::replyError(const std::shared_ptr<Connection> &conn,
 void
 Server::serveConnection(const std::shared_ptr<Connection> &conn)
 {
-    // Fatal-as-throw on this thread: a client's bad input costs it an
-    // error reply, never the daemon.
-    FatalErrorScope scope;
-
     bool keep = true;
     while (keep) {
         std::string payload;
@@ -312,11 +332,10 @@ Server::serveConnection(const std::shared_ptr<Connection> &conn)
             continue;
         }
 
+        // User errors are bad-request replies already; what escapes
+        // is an environment fault (e.g. a failed store write).
         try {
             keep = handleRequest(conn, request);
-        } catch (const FatalError &e) {
-            badRequests_.inc();
-            replyError(conn, "bad-request", e.what());
         } catch (const std::exception &e) {
             replyError(conn, "internal", e.what());
         }
@@ -414,26 +433,33 @@ Server::handleRun(const std::shared_ptr<Connection> &conn,
         return true;
     };
 
-    // ---- validate everything before admitting anything. Registry
-    // lookups that are fatal on bad input run here, on the scoped
-    // connection thread, where fatal throws (caught by our caller into
-    // a bad-request reply) — never on a pool worker mid-stream.
+    // ---- validate everything before admitting anything: the
+    // request's fields, then each spec through validateExperiment.
     const json::Value *benches = request.get("benches");
     if (!benches || !benches->isArray() || benches->array.empty())
         return failRequest("run needs a non-empty \"benches\" array");
 
     RunnerConfig config = options_.config;
-    config.instructions =
-        request.getU64("instructions", config.instructions);
-    config.warmup = request.getU64("warmup", config.warmup);
-    config.intervalInstructions = static_cast<int>(request.getU64(
-        "interval",
-        static_cast<std::uint64_t>(config.intervalInstructions)));
-    config.clockSeed = request.getU64("seed", config.clockSeed);
+    auto interval =
+        static_cast<std::uint64_t>(config.intervalInstructions);
+    std::string error;
+    if (!readCount(request, "instructions", UINT64_MAX,
+                   config.instructions, &error) ||
+        !readCount(request, "warmup", UINT64_MAX, config.warmup,
+                   &error) ||
+        !readCount(request, "interval", INT_MAX, interval, &error) ||
+        !readCount(request, "seed", UINT64_MAX, config.clockSeed,
+                   &error))
+        return failRequest(error);
+    config.intervalInstructions = static_cast<int>(interval);
     if (config.instructions == 0 || config.intervalInstructions <= 0)
         return failRequest("\"instructions\" and \"interval\" must be "
                            "positive");
 
+    for (const char *key : {"mode", "controller"})
+        if (request.get(key) && !request.get(key)->isString())
+            return failRequest("\"" + std::string(key) +
+                               "\" must be a string");
     ClockMode mode = ClockMode::Mcd;
     std::string mode_text = request.getString("mode", "mcd");
     if (mode_text == "sync")
@@ -443,38 +469,29 @@ Server::handleRun(const std::shared_ptr<Connection> &conn,
             "\"mode\" must be \"mcd\" or \"sync\", not \"" +
             mode_text + "\"");
 
-    Hertz freq = request.getNumber("freq", 0.0);
-    if (freq < 0.0)
+    const json::Value *freq = request.get("freq");
+    if (freq && !(freq->isNumber() && freq->number >= 0.0))
         return failRequest("\"freq\" must be non-negative");
 
-    // parseControllerSpec and create() are fatal on malformed text /
-    // unknown names / bad params; under the connection thread's scope
-    // that surfaces as a bad-request reply.
     ControllerSpec controller;
     std::string controller_text = request.getString("controller");
-    if (!controller_text.empty())
-        controller = parseControllerSpec(controller_text);
-    ControllerRegistry::instance().create(controller);
+    if (!controller_text.empty() &&
+        !parseControllerSpec(controller_text, controller, &error))
+        return failRequest(error);
 
     std::vector<ExperimentSpec> specs;
     for (const json::Value &entry : benches->array) {
         if (!entry.isString())
             return failRequest(
                 "\"benches\" entries must be scenario names");
-        if (!ScenarioRegistry::instance().contains(entry.string))
-            return failRequest("unknown scenario '" + entry.string +
-                               "'");
-        // Family instances parse their knobs here — eagerly, so a bad
-        // knob is a bad-request now rather than a fatal inside a
-        // worker (or a nested sweep thread) later.
-        ScenarioRegistry::instance().spec(entry.string);
-
         ExperimentSpec spec;
         spec.benchmark = entry.string;
         spec.mode = mode;
-        spec.startFreq = freq;
+        spec.startFreq = freq ? freq->number : 0.0;
         spec.controller = controller;
         spec.config = config;
+        if (!validateExperiment(spec, &error))
+            return failRequest(error);
         specs.push_back(std::move(spec));
     }
 
@@ -522,7 +539,6 @@ Server::handleRun(const std::shared_ptr<Connection> &conn,
     for (std::size_t i = 0; i < specs.size(); ++i) {
         pool_->submit([this, conn, state, queued_at, id,
                        spec = specs[i], i] {
-            FatalErrorScope worker_scope;
             {
                 std::lock_guard<std::mutex> lock(state->m);
                 if (!state->executing) {
@@ -615,10 +631,13 @@ Server::handleTournament(const std::shared_ptr<Connection> &conn,
 
     TournamentOptions opts;
     opts.config = options_.config;
-    opts.targetDeg = request.getNumber("target_deg", 0.05);
-    if (opts.targetDeg < 0.0 || opts.targetDeg > 1.0)
+    const json::Value *deg = request.get("target_deg");
+    if (deg && !(deg->isNumber() && deg->number >= 0.0 &&
+                 deg->number <= 1.0))
         return failRequest(
             "\"target_deg\" must be a fraction in [0, 1]");
+    if (deg)
+        opts.targetDeg = deg->number;
 
     const json::Value *scenarios = request.get("scenarios");
     if (scenarios) {
@@ -626,17 +645,16 @@ Server::handleTournament(const std::shared_ptr<Connection> &conn,
             return failRequest(
                 "\"scenarios\" must be an array of names");
         for (const json::Value &entry : scenarios->array) {
-            if (!entry.isString() ||
-                !ScenarioRegistry::instance().contains(entry.string))
+            if (!entry.isString())
                 return failRequest(
-                    "unknown scenario in \"scenarios\"");
-            ScenarioRegistry::instance().spec(entry.string); // knobs
+                    "\"scenarios\" entries must be scenario names");
             opts.scenarios.push_back(entry.string);
         }
     }
     if (opts.scenarios.empty())
         opts.scenarios = adversarialCorpus();
 
+    std::string error;
     const json::Value *controllers = request.get("controllers");
     if (controllers) {
         if (!controllers->isArray())
@@ -646,15 +664,16 @@ Server::handleTournament(const std::shared_ptr<Connection> &conn,
             if (!entry.isString())
                 return failRequest("\"controllers\" entries must be "
                                    "controller spec strings");
-            TournamentEntry te;
-            te.label = entry.string;
-            te.spec = parseControllerSpec(entry.string); // may throw
-            ControllerRegistry::instance().create(te.spec); // params
+            TournamentEntry te{entry.string, {}};
+            if (!parseControllerSpec(entry.string, te.spec, &error))
+                return failRequest(error);
             opts.controllers.push_back(std::move(te));
         }
     }
     if (opts.controllers.empty())
         opts.controllers = defaultTournamentEntries();
+    if (!validateTournament(opts, &error))
+        return failRequest(error);
 
     int units = static_cast<int>(opts.scenarios.size() *
                                  opts.controllers.size());
@@ -719,10 +738,10 @@ Server::handleTournament(const std::shared_ptr<Connection> &conn,
                        (cold ? "0" : "1") + ", \"bytes_streamed\": " +
                        json::u64(out.size()));
     } catch (const std::exception &e) {
+        // Validated above: an environment fault.
         inflightUnits_.fetch_sub(units);
-        badRequests_.inc();
-        traceEvent(id, "error", ", \"code\": \"bad-request\"");
-        replyError(conn, "bad-request", e.what());
+        traceEvent(id, "error", ", \"code\": \"internal\"");
+        replyError(conn, "internal", e.what());
     }
     return true;
 }

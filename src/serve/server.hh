@@ -34,16 +34,13 @@
  *    (all-or-nothing — partial admission would interleave rejects
  *    into a result stream).
  *
- * Error containment: request handling and unit execution run under a
- * FatalErrorScope (common/logging.hh), so user errors that exit the
- * batch CLIs (unknown controller params, bad scenario knobs) become
- * structured `error` replies here and the daemon survives. mcd_panic
- * still aborts — an invariant violation means the process state
- * cannot be trusted. Residual risk: a fatal first raised on a thread
- * the daemon does not own (e.g. deep inside a nested ParallelSweep
- * worker during a tournament) still exits; validation is therefore
- * eager — scenario specs and controllers are instantiated once on the
- * scoped connection thread before any work is admitted.
+ * Error containment: before admitting any work a handler checks the
+ * request's fields, then the product through the validator the batch
+ * CLI uses (validateExperiment / validateTournament); a failure is a
+ * `bad-request` reply. An environment fault mid-run (a store entry
+ * that cannot be written) throws; ParallelSweep carries it back from
+ * any worker, including a tournament's nested sweep, so the request
+ * gets an `internal` reply and the daemon keeps serving.
  */
 
 #ifndef MCD_SERVE_SERVER_HH

@@ -384,18 +384,21 @@ std::vector<std::string>
 BenchmarkFactory::suiteNames(const std::string &suite)
 {
     std::vector<std::string> names;
-    ScenarioRegistry &registry = ScenarioRegistry::instance();
-    for (const auto &name : registry.scenarioNames()) {
-        if (registry.spec(name).suite == suite)
+    for (const auto &name : ScenarioRegistry::instance().scenarioNames())
+        if (spec(name).suite == suite)
             names.push_back(name);
-    }
     return names;
 }
 
 BenchmarkSpec
 BenchmarkFactory::spec(const std::string &name)
 {
-    return ScenarioRegistry::instance().spec(name);
+    BenchmarkSpec out;
+    std::string error;
+    if (!ScenarioRegistry::instance().resolve(name, out, &error))
+        mcd_panic("unvalidated scenario reached the library: %s",
+                  error.c_str());
+    return out;
 }
 
 BenchmarkSpec
@@ -403,7 +406,7 @@ BenchmarkFactory::paperSpec(const std::string &name)
 {
     auto it = table().find(name);
     if (it == table().end())
-        mcd_fatal("unknown benchmark '%s'", name.c_str());
+        mcd_panic("unknown paper benchmark '%s'", name.c_str());
     return it->second;
 }
 

@@ -38,7 +38,8 @@ class BenchmarkFactory
      *  ("MediaBench"/"Olden"/"Spec2000"/...). */
     static std::vector<std::string> suiteNames(const std::string &suite);
 
-    /** The behavioral spec for a scenario; fatal on unknown names. */
+    /** The behavioral spec for a scenario the caller has already
+     *  checked (ScenarioRegistry::resolve); panics on a bad name. */
     static BenchmarkSpec spec(const std::string &name);
 
     /** Instantiate the generator for a scenario. */

@@ -1,9 +1,12 @@
 #include "workload/scenario_registry.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <iterator>
+#include <map>
 #include <mutex>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/serial.hh"
@@ -16,64 +19,6 @@ namespace
 {
 
 std::mutex registry_mutex;
-
-double
-knobOr(const std::map<std::string, double> &knobs, const char *key,
-       double fallback)
-{
-    auto it = knobs.find(key);
-    return it == knobs.end() ? fallback : it->second;
-}
-
-double
-requireRange(const std::string &name, const char *key, double v,
-             double lo, double hi)
-{
-    if (v < lo || v > hi)
-        mcd_fatal("%s: knob '%s'=%g outside [%g, %g]", name.c_str(),
-                  key, v, lo, hi);
-    return v;
-}
-
-std::map<std::string, double>
-parseKnobs(const std::string &name, const std::string &text,
-           const std::vector<std::string> &allowed)
-{
-    std::map<std::string, double> knobs;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        auto comma = text.find(',', pos);
-        std::string item = text.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        pos = comma == std::string::npos ? text.size() : comma + 1;
-        if (item.empty())
-            continue;
-        auto eq = item.find('=');
-        if (eq == std::string::npos || eq == 0)
-            mcd_fatal("%s: knob '%s' is not key=value", name.c_str(),
-                      item.c_str());
-        std::string key = item.substr(0, eq);
-        std::string value = item.substr(eq + 1);
-        bool known = false;
-        for (const auto &a : allowed)
-            known = known || a == key;
-        if (!known) {
-            std::string valid;
-            for (const auto &a : allowed)
-                valid += (valid.empty() ? "" : ", ") + a;
-            mcd_fatal("%s: unknown knob '%s' (valid knobs: %s)",
-                      name.c_str(), key.c_str(), valid.c_str());
-        }
-        char *end = nullptr;
-        double v = std::strtod(value.c_str(), &end);
-        if (value.empty() || end != value.c_str() + value.size())
-            mcd_fatal("%s: knob '%s'='%s' is not a number",
-                      name.c_str(), key.c_str(), value.c_str());
-        knobs[key] = v;
-    }
-    return knobs;
-}
 
 /**
  * The parametric synthetic family (see the header comment for knob
@@ -102,64 +47,85 @@ parseKnobs(const std::string &name, const std::string &text,
  *    enough that the relative utilization change stays below the
  *    deviation threshold, starving the attack path.
  */
-BenchmarkSpec
-buildSynthetic(const std::string &name)
+bool
+buildSynthetic(const std::string &name, BenchmarkSpec &spec,
+               std::string *error)
 {
-    const std::string prefix = "synthetic:";
-    std::string text = name.substr(prefix.size());
-    auto knobs = parseKnobs(
-        name, text,
-        {"mem", "ilp", "phases", "burst", "markov", "square", "drift",
-         "fp", "branch", "seed"});
-
-    double mem =
-        requireRange(name, "mem", knobOr(knobs, "mem", 0.3), 0.0, 1.0);
-    int ilp = static_cast<int>(requireRange(
-        name, "ilp", knobOr(knobs, "ilp", 8.0), 1.0, 64.0));
-    int phases = static_cast<int>(requireRange(
-        name, "phases", knobOr(knobs, "phases", 1.0), 1.0, 64.0));
-    double burst = requireRange(name, "burst",
-                                knobOr(knobs, "burst", 0.0), 0.0, 1.0);
-    // The adversarial count/period knobs are integers; a fractional
-    // value would truncate — markov=0.5 to 0, silently disabling the
-    // stressor — so reject it instead.
-    auto requireWhole = [&](const char *key, double v) {
-        if (v != std::floor(v))
-            mcd_fatal("%s: knob '%s'=%g must be a whole number",
-                      name.c_str(), key, v);
-        return v;
+    using logging_detail::format;
+    // Default and range of every knob, in doc order (the unknown-knob
+    // message lists them so). The count/period knobs and the seed are
+    // integers: a fraction would truncate — markov=0.5 to 0, silently
+    // disabling the stressor — so it is rejected instead.
+    struct Knob { const char *key; double fallback, lo, hi; bool whole; };
+    const Knob table[] = {
+        {"mem", 0.3, 0, 1, false},       {"ilp", 8, 1, 64, false},
+        {"phases", 1, 1, 64, false},     {"burst", 0, 0, 1, false},
+        {"markov", 0, 0, 256, true},     {"square", 0, 0, 1e7, true},
+        {"drift", 0, 0, 1, false},       {"fp", 0, 0, 1, false},
+        {"branch", 0.25, 0, 1, false},
+        {"seed", static_cast<double>(serial::fnv1a(name) % 100000), 0,
+         1e15, true},
     };
-    int markov = static_cast<int>(requireWhole(
-        "markov", requireRange(name, "markov",
-                               knobOr(knobs, "markov", 0.0), 0.0,
-                               256.0)));
-    if (markov == 1)
-        mcd_fatal("%s: knob 'markov' needs at least 2 segments",
-                  name.c_str());
-    double square_v = requireRange(
-        name, "square", knobOr(knobs, "square", 0.0), 0.0, 1.0e7);
-    if (square_v > 0.0 && square_v < 500.0)
-        mcd_fatal("%s: knob 'square'=%g below the 500-instruction "
-                  "minimum half-period", name.c_str(), square_v);
-    std::uint64_t square =
-        static_cast<std::uint64_t>(requireWhole("square", square_v));
-    double drift = requireRange(name, "drift",
-                                knobOr(knobs, "drift", 0.0), 0.0, 1.0);
-    double fp =
-        requireRange(name, "fp", knobOr(knobs, "fp", 0.0), 0.0, 1.0);
-    double branch = requireRange(name, "branch",
-                                 knobOr(knobs, "branch", 0.25), 0.0,
-                                 1.0);
-    std::uint64_t seed = static_cast<std::uint64_t>(
-        knobOr(knobs, "seed",
-               static_cast<double>(serial::fnv1a(name) % 100000)));
+
+    std::map<std::string, double> knobs;
+    KeyValueError bad;
+    if (!parseKeyValues(name.substr(std::string("synthetic:").size()),
+                        knobs, bad))
+        return failWith(
+            error, bad.notKeyValue
+                       ? format("%s: knob '%s' is not key=value",
+                                name.c_str(), bad.key.c_str())
+                       : format("%s: knob '%s'='%s' is not a number",
+                                name.c_str(), bad.key.c_str(),
+                                bad.value.c_str()));
+    std::string valid;
+    for (const Knob &k : table)
+        valid += (valid.empty() ? "" : ", ") + std::string(k.key);
+    for (const auto &entry : knobs)
+        if (std::none_of(std::begin(table), std::end(table),
+                         [&](const Knob &k) { return entry.first == k.key; }))
+            return failWith(error,
+                            format("%s: unknown knob '%s' (valid knobs: %s)",
+                                   name.c_str(), entry.first.c_str(),
+                                   valid.c_str()));
+    // Ranges first (NaN fails too), then the knob-specific minimums,
+    // then wholeness.
+    for (const Knob &k : table) {
+        double v = knobs.try_emplace(k.key, k.fallback).first->second;
+        if (!(v >= k.lo && v <= k.hi))
+            return failWith(error, format("%s: knob '%s'=%g outside "
+                                          "[%g, %g]", name.c_str(), k.key,
+                                          v, k.lo, k.hi));
+    }
+    if (knobs["markov"] == 1.0)
+        return failWith(error, format("%s: knob 'markov' needs at least "
+                                      "2 segments", name.c_str()));
+    if (knobs["square"] > 0.0 && knobs["square"] < 500.0)
+        return failWith(error, format("%s: knob 'square'=%g below the "
+                                      "500-instruction minimum "
+                                      "half-period", name.c_str(),
+                                      knobs["square"]));
+    for (const Knob &k : table)
+        if (k.whole && knobs[k.key] != std::floor(knobs[k.key]))
+            return failWith(error, format("%s: knob '%s'=%g must be a "
+                                          "whole number", name.c_str(),
+                                          k.key, knobs[k.key]));
+    double mem = knobs["mem"], burst = knobs["burst"],
+           drift = knobs["drift"], fp = knobs["fp"],
+           branch = knobs["branch"];
+    int ilp = static_cast<int>(knobs["ilp"]);
+    int phases = static_cast<int>(knobs["phases"]);
+    int markov = static_cast<int>(knobs["markov"]);
+    auto square = static_cast<std::uint64_t>(knobs["square"]);
+    auto seed = static_cast<std::uint64_t>(knobs["seed"]);
 
     int adversarial = (markov > 0) + (square > 0) + (drift > 0.0);
     if (adversarial > 1 ||
         (adversarial == 1 && (burst > 0.0 || phases > 1)))
-        mcd_fatal("%s: knobs markov/square/drift are mutually "
-                  "exclusive, and exclusive with burst and phases",
-                  name.c_str());
+        return failWith(error, format("%s: knobs markov/square/drift are "
+                                      "mutually exclusive, and "
+                                      "exclusive with burst and phases",
+                                      name.c_str()));
 
     auto makePhase = [&](double m, int dep) {
         PhaseSpec phase;
@@ -201,7 +167,7 @@ buildSynthetic(const std::string &name)
         return idle;
     };
 
-    BenchmarkSpec spec;
+    spec = BenchmarkSpec{};
     spec.name = name;
     spec.suite = "synthetic";
     spec.seed = seed;
@@ -286,7 +252,7 @@ buildSynthetic(const std::string &name)
             spec.phases.push_back(phase);
         }
     }
-    return spec;
+    return true;
 }
 
 } // namespace
@@ -337,7 +303,7 @@ ScenarioRegistry::add(BenchmarkSpec spec)
 {
     std::lock_guard<std::mutex> lock(registry_mutex);
     if (fixed_.count(spec.name))
-        mcd_fatal("scenario '%s' registered twice", spec.name.c_str());
+        mcd_panic("scenario '%s' registered twice", spec.name.c_str());
     order_.push_back(spec.name);
     fixed_[spec.name] = std::move(spec);
 }
@@ -350,7 +316,7 @@ ScenarioRegistry::addFamily(const std::string &prefix,
     std::lock_guard<std::mutex> lock(registry_mutex);
     for (const auto &family : families_)
         if (family.info.prefix == prefix)
-            mcd_fatal("scenario family '%s' registered twice",
+            mcd_panic("scenario family '%s' registered twice",
                       prefix.c_str());
     families_.push_back(Family{
         FamilyInfo{prefix, description, std::move(knobs)},
@@ -358,26 +324,17 @@ ScenarioRegistry::addFamily(const std::string &prefix,
 }
 
 bool
-ScenarioRegistry::contains(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(registry_mutex);
-    if (fixed_.count(name))
-        return true;
-    for (const auto &family : families_)
-        if (name.rfind(family.info.prefix, 0) == 0)
-            return true;
-    return false;
-}
-
-BenchmarkSpec
-ScenarioRegistry::spec(const std::string &name) const
+ScenarioRegistry::resolve(const std::string &name, BenchmarkSpec &out,
+                          std::string *error) const
 {
     FamilyFn fn;
     {
         std::lock_guard<std::mutex> lock(registry_mutex);
         auto it = fixed_.find(name);
-        if (it != fixed_.end())
-            return it->second;
+        if (it != fixed_.end()) {
+            out = it->second;
+            return true;
+        }
         for (const auto &family : families_) {
             if (name.rfind(family.info.prefix, 0) == 0) {
                 fn = family.fn;
@@ -386,9 +343,10 @@ ScenarioRegistry::spec(const std::string &name) const
         }
     }
     if (!fn)
-        mcd_fatal("unknown scenario '%s' (mcd_cli list shows "
-                  "registered names)", name.c_str());
-    return fn(name);
+        return failWith(error, "unknown scenario '" + name +
+                               "' (mcd_cli list shows registered "
+                               "names)");
+    return fn(name, out, error);
 }
 
 std::vector<std::string>

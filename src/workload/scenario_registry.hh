@@ -65,9 +65,10 @@ namespace mcd
 class ScenarioRegistry
 {
   public:
-    /** Builds the spec for one full family name ("prefix:knobs"). */
-    using FamilyFn =
-        std::function<BenchmarkSpec(const std::string &name)>;
+    /** Builds the spec for one full family name ("prefix:knobs");
+     *  false, with the reason in `error`, on bad knobs. */
+    using FamilyFn = std::function<bool(
+        const std::string &name, BenchmarkSpec &out, std::string *error)>;
 
     /** One knob of a parametric family, for listings and errors. */
     struct KnobInfo
@@ -86,7 +87,7 @@ class ScenarioRegistry
     /** The process-wide registry, with built-ins pre-registered. */
     static ScenarioRegistry &instance();
 
-    /** Register a fixed scenario; fatal on duplicate names. */
+    /** Register a fixed scenario; panics on duplicate names. */
     void add(BenchmarkSpec spec);
 
     /**
@@ -98,11 +99,10 @@ class ScenarioRegistry
                    const std::string &description, FamilyFn fn,
                    std::vector<KnobInfo> knobs = {});
 
-    /** True for registered fixed names and family-prefixed names. */
-    bool contains(const std::string &name) const;
-
-    /** Resolve a name to its spec; fatal on unknown names. */
-    BenchmarkSpec spec(const std::string &name) const;
+    /** Resolve a name to its spec; false, with the reason in `error`
+     *  (when non-null), for unknown names and bad family knobs. */
+    bool resolve(const std::string &name, BenchmarkSpec &out,
+                 std::string *error) const;
 
     /** Fixed scenario names, in registration order (paper order for
      *  the built-in 30). */

@@ -286,8 +286,10 @@ TEST(Tournament, CorpusAndDefaultsSatisfyTheLabContract)
         markov = markov || name.find("markov=") != std::string::npos;
         square = square || name.find("square=") != std::string::npos;
         drift = drift || name.find("drift=") != std::string::npos;
-        EXPECT_TRUE(ScenarioRegistry::instance().contains(name))
-            << name;
+        BenchmarkSpec spec;
+        std::string error;
+        EXPECT_TRUE(ScenarioRegistry::instance().resolve(name, spec, &error))
+            << error;
     }
     EXPECT_TRUE(markov);
     EXPECT_TRUE(square);
@@ -295,10 +297,34 @@ TEST(Tournament, CorpusAndDefaultsSatisfyTheLabContract)
 
     auto entries = defaultTournamentEntries();
     EXPECT_GE(entries.size(), 3u);
-    for (const auto &entry : entries)
-        EXPECT_TRUE(
-            ControllerRegistry::instance().contains(entry.spec.name))
-            << entry.label;
+    TournamentOptions options;
+    options.scenarios = corpus;
+    options.controllers = entries;
+    std::string error;
+    EXPECT_TRUE(validateTournament(options, &error)) << error;
+}
+
+TEST(Tournament, ValidationRejectsBadOptionsAsValues)
+{
+    TournamentOptions options;
+    std::string error;
+    EXPECT_FALSE(validateTournament(options, &error));
+    EXPECT_EQ("tournament needs at least one scenario", error);
+
+    options.scenarios = {"gsm"};
+    EXPECT_FALSE(validateTournament(options, &error));
+    EXPECT_EQ("tournament needs at least one controller", error);
+
+    options.controllers = {{"constant", parseControllerSpec("constant")}};
+    EXPECT_FALSE(validateTournament(options, &error));
+    EXPECT_EQ("controller 'constant' requires a 'freq' parameter (Hz)",
+              error);
+
+    options.controllers = defaultTournamentEntries();
+    options.scenarios = {"gsm", "synthetic:bogus=1"};
+    EXPECT_FALSE(validateTournament(options, &error));
+    EXPECT_NE(std::string::npos, error.find("unknown knob 'bogus'"))
+        << error;
 }
 
 /**

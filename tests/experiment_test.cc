@@ -278,6 +278,65 @@ TEST(ControllerRegistry, ParseControllerSpec)
     EXPECT_DOUBLE_EQ(with_params.params.at("endstop_count"), 5.0);
 }
 
+TEST(ControllerRegistry, MalformedControllerTextIsAnErrorValue)
+{
+    ControllerSpec spec;
+    std::string error;
+    EXPECT_FALSE(parseControllerSpec("attack_decay:decay", spec, &error));
+    EXPECT_EQ("controller parameter 'decay' is not key=value", error);
+    EXPECT_FALSE(parseControllerSpec("attack_decay:decay=fast", spec,
+                                     &error));
+    EXPECT_EQ("controller parameter 'decay': 'fast' is not a number",
+              error);
+    EXPECT_FALSE(parseControllerSpec(":decay=1", spec, &error));
+    EXPECT_EQ("empty controller name in ':decay=1'", error);
+    // The grammar does not consult the registry: names and params are
+    // ControllerRegistry::check's job.
+    EXPECT_TRUE(parseControllerSpec("attack_decay:bogus=1", spec, &error));
+}
+
+TEST(ControllerRegistry, CheckRejectsUndeclaredAndMissingParams)
+{
+    ControllerRegistry &registry = ControllerRegistry::instance();
+    std::string error;
+    EXPECT_TRUE(registry.check(parseControllerSpec("attack_decay:decay=0.01"),
+                               &error))
+        << error;
+    EXPECT_TRUE(registry.check(parseControllerSpec("constant:freq=5e8"),
+                               &error))
+        << error;
+
+    EXPECT_FALSE(
+        registry.check(parseControllerSpec("attack_decay:bogus=1"), &error));
+    EXPECT_EQ("controller 'attack_decay' has no parameter 'bogus'", error);
+    EXPECT_FALSE(registry.check(parseControllerSpec("constant"), &error));
+    EXPECT_EQ("controller 'constant' requires a 'freq' parameter (Hz)",
+              error);
+    EXPECT_FALSE(registry.check(parseControllerSpec("no_such"), &error));
+    EXPECT_EQ("unknown controller 'no_such' (mcd_cli list shows "
+              "registered names)",
+              error);
+}
+
+TEST(ExperimentSpec, ValidateChecksScenarioAndController)
+{
+    ExperimentSpec spec;
+    spec.benchmark = "gsm";
+    std::string error;
+    EXPECT_TRUE(validateExperiment(spec, &error)) << error;
+
+    spec.benchmark = "synthetic:bogus=1";
+    EXPECT_FALSE(validateExperiment(spec, &error));
+    EXPECT_NE(std::string::npos, error.find("unknown knob 'bogus'"))
+        << error;
+
+    spec.benchmark = "gsm";
+    spec.controller = parseControllerSpec("constant");
+    EXPECT_FALSE(validateExperiment(spec, &error));
+    EXPECT_EQ("controller 'constant' requires a 'freq' parameter (Hz)",
+              error);
+}
+
 // --------------------------------------------------------- ArtifactCache
 
 TEST_F(ArtifactCacheTest, MissThenHit)

@@ -17,12 +17,12 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.hh"
-#include "common/logging.hh"
 #include "harness/experiment.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -64,13 +64,14 @@ class TestDaemon
 {
   public:
     explicit TestDaemon(const std::string &tag, int max_inflight = -1,
-                        int workers = 2)
+                        int workers = 2, const std::string &store = "")
     {
         ServeOptions options;
         options.socketPath = socketPath(tag);
         options.workers = workers;
         options.maxInflight = max_inflight;
         options.config = testConfig();
+        options.config.store = store;
         options.cache = &cache_;
         server_ = std::make_unique<Server>(options);
         thread_ = std::thread([this] { server_->run(); });
@@ -270,26 +271,6 @@ TEST(ServeProtocol, OversizedFrameRejectedOnDeclaredLength)
     ::close(fds[1]);
 }
 
-TEST(ServeProtocol, FatalErrorScopeTurnsFatalIntoThrow)
-{
-    // The containment primitive the daemon rests on: user-error
-    // fatals throw (and are catchable) while a scope is active on the
-    // calling thread. The out-of-scope behavior is process exit, so
-    // only the in-scope half is testable.
-    EXPECT_THROW(
-        {
-            FatalErrorScope scope;
-            mcd_fatal("user error with %s", "context");
-        },
-        FatalError);
-    try {
-        FatalErrorScope scope;
-        mcd_fatal("knob out of range");
-    } catch (const FatalError &e) {
-        EXPECT_STREQ("knob out of range", e.what());
-    }
-}
-
 // ------------------------------------------------------- daemon verbs
 
 TEST(ServeDaemon, PingAndStats)
@@ -345,26 +326,95 @@ TEST(ServeDaemon, UserErrorFatalsBecomeBadRequestReplies)
     TestDaemon daemon("fatals");
     ServeClient client;
     connectTo(client, daemon.path());
+    // The tournament verb resolves through the process-wide cache.
+    std::uint64_t global_sims = ArtifactCache::instance().simulationsRun();
 
-    // Unknown scenario: caught by explicit validation.
-    json::Value error =
-        callOne(client, "{\"op\": \"run\", \"benches\": [\"nosuch\"]}");
-    EXPECT_EQ("bad-request", error.getString("code"));
-
-    // Bad family knob and bad controller param: both are mcd_fatal
-    // deep inside registries — the FatalErrorScope turns them into
-    // replies instead of daemon exits.
-    error = callOne(client, "{\"op\": \"run\", \"benches\": "
-                            "[\"synthetic:bogus_knob=1\"]}");
-    EXPECT_EQ("bad-request", error.getString("code"));
-    error = callOne(client,
-                    "{\"op\": \"run\", \"benches\": [\"gsm\"], "
-                    "\"controller\": \"attack_decay:bogus=1\"}");
-    EXPECT_EQ("bad-request", error.getString("code"));
+    // Every user error is caught by validation before any work is
+    // admitted: unknown names, bad family knobs, bad controller text
+    // and params, and numeric fields that are present but not a
+    // whole number in range (never silently rewritten to a default).
+    for (const char *request : {
+             "{\"op\": \"run\", \"benches\": [\"nosuch\"]}",
+             "{\"op\": \"run\", \"benches\": "
+             "[\"synthetic:bogus_knob=1\"]}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"controller\": \"attack_decay:bogus=1\"}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"controller\": \"attack_decay:decay\"}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"controller\": \"constant\"}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"interval\": 4294967297}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"instructions\": -5}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"instructions\": 2000.7}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"seed\": \"abc\"}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"seed\": 1e20}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"freq\": \"fast\"}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], \"mode\": 5}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"controller\": 7}",
+             "{\"op\": \"tournament\", \"scenarios\": [\"nosuch\"]}",
+             "{\"op\": \"tournament\", \"scenarios\": "
+             "[\"synthetic:markov=1\"]}",
+             "{\"op\": \"tournament\", \"controllers\": "
+             "[\"constant\"]}",
+             "{\"op\": \"tournament\", \"controllers\": "
+             "[\"attack_decay:decay=fast\"]}",
+             "{\"op\": \"tournament\", \"target_deg\": \"x\"}",
+         }) {
+        json::Value error = callOne(client, request);
+        EXPECT_EQ("bad-request", error.getString("code")) << request;
+    }
 
     json::Value pong = callOne(client, "{\"op\": \"ping\"}");
     EXPECT_EQ("pong", pong.getString("event"));
     EXPECT_EQ(0u, daemon.cache().simulationsRun());
+    EXPECT_EQ(global_sims, ArtifactCache::instance().simulationsRun());
+}
+
+TEST(ServeDaemon, StoreWriteFailureIsInternalAndDaemonSurvives)
+{
+    namespace fs = std::filesystem;
+    std::string root = socketPath("store") + ".d";
+    fs::remove_all(root);
+    TestDaemon daemon("storefail", -1, 2, root);
+
+    // Make the spec's entry path a non-empty directory: the store's
+    // rename onto it fails (whatever the user's privileges), an
+    // environment fault the daemon must survive.
+    ExperimentSpec spec;
+    spec.benchmark = "gsm";
+    spec.config = testConfig();
+    fs::create_directories(fs::path(DiskStore(root).pathFor(
+                               spec.cacheKey())) / "blocker");
+
+    ServeClient client;
+    connectTo(client, daemon.path());
+    RunReply reply =
+        runRequest(client, "{\"op\": \"run\", \"benches\": [\"gsm\"]}");
+    ASSERT_TRUE(reply.transport_ok);
+    EXPECT_EQ("error", reply.terminal.getString("event"));
+    EXPECT_EQ("internal", reply.terminal.getString("code"));
+    EXPECT_NE(std::string::npos,
+              reply.terminal.getString("error").find(
+                  "cannot finalize artifact store entry"))
+        << reply.terminal.getString("error");
+    // The stream is still sealed with `done`, carrying no results.
+    std::string raw;
+    ASSERT_EQ(FrameStatus::Ok, client.recv(raw));
+    json::Value done;
+    ASSERT_TRUE(json::parse(raw, done));
+    EXPECT_EQ("done", done.getString("event"));
+    EXPECT_EQ(0u, done.getU64("results", 99));
+
+    json::Value pong = callOne(client, "{\"op\": \"ping\"}");
+    EXPECT_EQ("pong", pong.getString("event"));
+    fs::remove_all(root);
 }
 
 TEST(ServeDaemon, OversizedFrameGetsErrorThenHangup)

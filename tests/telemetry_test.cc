@@ -389,8 +389,9 @@ TEST(ServeTracing, EventLogSchemaAndDistinctIds)
         ASSERT_FALSE(event.getString("event").empty()) << line;
         by_id[event.getU64("id", 0)].push_back(
             event.getString("event"));
-        if (event.getString("event") == "executing")
+        if (event.getString("event") == "executing") {
             EXPECT_NE(nullptr, event.get("queue_wait_ns")) << line;
+        }
         if (event.getString("event") == "done" &&
             event.get("exec_ns") != nullptr) {
             EXPECT_NE(nullptr, event.get("bytes_streamed")) << line;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <map>
+#include <regex>
 #include <set>
 
 #include "workload/benchmark_factory.hh"
@@ -30,6 +31,49 @@ simpleSpec()
     spec.seed = 42;
     spec.phases.push_back(PhaseSpec{});
     return spec;
+}
+
+/** The spec of a scenario name that must resolve. */
+BenchmarkSpec
+resolved(const std::string &name)
+{
+    BenchmarkSpec spec;
+    std::string error;
+    EXPECT_TRUE(ScenarioRegistry::instance().resolve(name, spec, &error))
+        << error;
+    return spec;
+}
+
+bool
+resolves(const std::string &name)
+{
+    BenchmarkSpec spec;
+    return ScenarioRegistry::instance().resolve(name, spec, nullptr);
+}
+
+/** The error of a scenario name that must not resolve. */
+std::string
+rejection(const std::string &name)
+{
+    BenchmarkSpec spec;
+    std::string error;
+    EXPECT_FALSE(ScenarioRegistry::instance().resolve(name, spec, &error))
+        << name;
+    return error;
+}
+
+/** `name` fails to resolve with an error matching `pattern`. */
+::testing::AssertionResult
+rejectedWith(const std::string &name, const std::string &pattern)
+{
+    BenchmarkSpec spec;
+    std::string error;
+    if (ScenarioRegistry::instance().resolve(name, spec, &error))
+        return ::testing::AssertionFailure() << name << " resolved";
+    if (!std::regex_search(error, std::regex(pattern)))
+        return ::testing::AssertionFailure()
+               << "'" << error << "' does not match '" << pattern << "'";
+    return ::testing::AssertionSuccess();
 }
 
 TEST(MicroOp, ClassPredicates)
@@ -391,8 +435,8 @@ TEST(ScenarioRegistry, ContainsThePaperBenchmarksInOrder)
     for (std::size_t i = 0; i < paper.size(); ++i)
         EXPECT_EQ(names[i], paper[i]);
     for (const auto &name : paper)
-        EXPECT_TRUE(registry.contains(name)) << name;
-    EXPECT_FALSE(registry.contains("no_such_benchmark"));
+        EXPECT_TRUE(resolves(name)) << name;
+    EXPECT_FALSE(resolves("no_such_benchmark"));
 }
 
 TEST(ScenarioRegistry, SyntheticFamilyIsRegistered)
@@ -402,16 +446,14 @@ TEST(ScenarioRegistry, SyntheticFamilyIsRegistered)
     for (const auto &family : registry.families())
         found = found || family.prefix == "synthetic:";
     EXPECT_TRUE(found);
-    EXPECT_TRUE(registry.contains("synthetic:mem=0.5"));
-    EXPECT_TRUE(registry.contains("synthetic:")); // all defaults
+    EXPECT_TRUE(resolves("synthetic:mem=0.5"));
+    EXPECT_TRUE(resolves("synthetic:")); // all defaults
 }
 
 TEST(ScenarioRegistry, SyntheticKnobsShapeTheSpec)
 {
-    ScenarioRegistry &registry = ScenarioRegistry::instance();
-
-    BenchmarkSpec lean = registry.spec("synthetic:mem=0,ilp=2");
-    BenchmarkSpec heavy = registry.spec("synthetic:mem=1,ilp=32");
+    BenchmarkSpec lean = resolved("synthetic:mem=0,ilp=2");
+    BenchmarkSpec heavy = resolved("synthetic:mem=1,ilp=32");
     ASSERT_EQ(lean.phases.size(), 1u);
     ASSERT_EQ(heavy.phases.size(), 1u);
     EXPECT_EQ(lean.phases[0].depWindow, 2);
@@ -422,7 +464,7 @@ TEST(ScenarioRegistry, SyntheticKnobsShapeTheSpec)
     EXPECT_LT(lean.phases[0].chaseFrac, heavy.phases[0].chaseFrac);
     EXPECT_EQ(lean.suite, "synthetic");
 
-    BenchmarkSpec phased = registry.spec("synthetic:phases=6");
+    BenchmarkSpec phased = resolved("synthetic:phases=6");
     ASSERT_EQ(phased.phases.size(), 6u);
     // Alternating memory-boundedness: adjacent phases differ.
     EXPECT_NE(phased.phases[0].dataFootprint,
@@ -433,13 +475,11 @@ TEST(ScenarioRegistry, SyntheticKnobsShapeTheSpec)
 
 TEST(ScenarioRegistry, SyntheticBurstKnobBuildsIdlePhases)
 {
-    ScenarioRegistry &registry = ScenarioRegistry::instance();
-
     // burst=B interleaves an io-like idle phase into each of the N
     // periods: 2N phases, busy weight (1-B)/N, idle weight B/N, and
     // the idle phase is a serial pointer chase with no ILP.
     BenchmarkSpec bursty =
-        registry.spec("synthetic:mem=0.2,burst=0.75,phases=3");
+        resolved("synthetic:mem=0.2,burst=0.75,phases=3");
     ASSERT_EQ(bursty.phases.size(), 6u);
     for (std::size_t i = 0; i < bursty.phases.size(); i += 2) {
         const PhaseSpec &busy = bursty.phases[i];
@@ -453,15 +493,15 @@ TEST(ScenarioRegistry, SyntheticBurstKnobBuildsIdlePhases)
 
     // burst defaults to 0 and changes nothing: the un-bursty name
     // still builds the single uniform phase.
-    BenchmarkSpec plain = registry.spec("synthetic:mem=0.2");
+    BenchmarkSpec plain = resolved("synthetic:mem=0.2");
     ASSERT_EQ(plain.phases.size(), 1u);
-    BenchmarkSpec zero = registry.spec("synthetic:mem=0.2,burst=0");
+    BenchmarkSpec zero = resolved("synthetic:mem=0.2,burst=0");
     ASSERT_EQ(zero.phases.size(), 1u);
     EXPECT_DOUBLE_EQ(zero.phases[0].chaseFrac, plain.phases[0].chaseFrac);
 
     // All idle (burst=1) is legal: busy phases carry zero weight and
     // the generator still produces a stream.
-    BenchmarkSpec all_idle = registry.spec("synthetic:burst=1");
+    BenchmarkSpec all_idle = resolved("synthetic:burst=1");
     ASSERT_EQ(all_idle.phases.size(), 2u);
     SyntheticProgram program(all_idle, 4000);
     for (int i = 0; i < 1000; ++i)
@@ -470,19 +510,18 @@ TEST(ScenarioRegistry, SyntheticBurstKnobBuildsIdlePhases)
 
 TEST(ScenarioRegistry, SyntheticSeedKnobAndNameDefault)
 {
-    ScenarioRegistry &registry = ScenarioRegistry::instance();
-    EXPECT_EQ(registry.spec("synthetic:seed=77").seed, 77u);
+    EXPECT_EQ(resolved("synthetic:seed=77").seed, 77u);
     // Distinct names default to distinct seeds, deterministically.
-    auto a = registry.spec("synthetic:mem=0.2");
-    auto a2 = registry.spec("synthetic:mem=0.2");
-    auto b = registry.spec("synthetic:mem=0.4");
+    auto a = resolved("synthetic:mem=0.2");
+    auto a2 = resolved("synthetic:mem=0.2");
+    auto b = resolved("synthetic:mem=0.4");
     EXPECT_EQ(a.seed, a2.seed);
     EXPECT_NE(a.seed, b.seed);
 }
 
 TEST(ScenarioRegistry, SyntheticProgramsAreDeterministic)
 {
-    BenchmarkSpec spec = ScenarioRegistry::instance().spec(
+    BenchmarkSpec spec = resolved(
         "synthetic:mem=0.7,ilp=4,phases=4");
     SyntheticProgram a(spec, 20000);
     SyntheticProgram b(spec, 20000);
@@ -512,7 +551,7 @@ TEST(ScenarioRegistry, UserScenariosRegisterOnce)
     custom.suite = "test";
     ScenarioRegistry::instance().add(custom);
     EXPECT_TRUE(
-        ScenarioRegistry::instance().contains("workload_test_custom"));
+        resolves("workload_test_custom"));
     EXPECT_EQ(BenchmarkFactory::spec("workload_test_custom").suite,
               "test");
     auto suite = BenchmarkFactory::suiteNames("test");
@@ -523,43 +562,52 @@ TEST(ScenarioRegistry, UserScenariosRegisterOnce)
 
 TEST(ScenarioRegistry, UnknownKnobListsEveryValidKnob)
 {
-    GTEST_FLAG_SET(death_test_style, "threadsafe");
     // The error message is the knob documentation of last resort: it
     // must name the full valid set, including the adversarial knobs.
-    EXPECT_DEATH(
-        ScenarioRegistry::instance().spec("synthetic:bogus=1"),
+    EXPECT_TRUE(rejectedWith(
+        "synthetic:bogus=1",
         "unknown knob 'bogus'.*valid knobs: mem, ilp, phases, burst, "
-        "markov, square, drift, fp, branch, seed");
+        "markov, square, drift, fp, branch, seed"));
 }
 
 TEST(ScenarioRegistry, AdversarialKnobsAreMutuallyExclusive)
 {
-    GTEST_FLAG_SET(death_test_style, "threadsafe");
-    ScenarioRegistry &registry = ScenarioRegistry::instance();
-    EXPECT_DEATH(registry.spec("synthetic:markov=8,square=1000"),
-                 "mutually exclusive");
-    EXPECT_DEATH(registry.spec("synthetic:drift=0.5,burst=0.5"),
-                 "mutually exclusive");
-    EXPECT_DEATH(registry.spec("synthetic:square=1000,phases=4"),
-                 "mutually exclusive");
-    EXPECT_DEATH(registry.spec("synthetic:square=100"),
-                 "below the 500-instruction minimum");
-    EXPECT_DEATH(registry.spec("synthetic:markov=1"),
-                 "at least 2 segments");
+    const char *exclusive = "mutually exclusive";
+    const char *minimum = "below the 500-instruction minimum";
+    const char *whole = "must be a whole number";
+    EXPECT_TRUE(rejectedWith("synthetic:markov=8,square=1000", exclusive));
+    EXPECT_TRUE(rejectedWith("synthetic:drift=0.5,burst=0.5", exclusive));
+    EXPECT_TRUE(rejectedWith("synthetic:square=1000,phases=4", exclusive));
+    EXPECT_TRUE(rejectedWith("synthetic:square=100", minimum));
+    EXPECT_TRUE(rejectedWith("synthetic:markov=1", "at least 2 segments"));
     // Fractional values would truncate (markov=0.5 to 0, silently
     // disabling the stressor); they must fail loudly instead.
-    EXPECT_DEATH(registry.spec("synthetic:markov=0.5"),
-                 "must be a whole number");
-    EXPECT_DEATH(registry.spec("synthetic:square=0.7"),
-                 "below the 500-instruction minimum");
-    EXPECT_DEATH(registry.spec("synthetic:square=1000.5"),
-                 "must be a whole number");
+    EXPECT_TRUE(rejectedWith("synthetic:markov=0.5", whole));
+    EXPECT_TRUE(rejectedWith("synthetic:square=0.7", minimum));
+    EXPECT_TRUE(rejectedWith("synthetic:square=1000.5", whole));
+}
+
+TEST(ScenarioRegistry, BadNamesAndKnobsAreErrorValues)
+{
+    // Every rejection is a returned message; none exits the process.
+    EXPECT_EQ("unknown scenario 'no_such_benchmark' (mcd_cli list shows "
+              "registered names)",
+              rejection("no_such_benchmark"));
+    EXPECT_EQ("synthetic:mem: knob 'mem' is not key=value",
+              rejection("synthetic:mem"));
+    EXPECT_EQ("synthetic:mem=lots: knob 'mem'='lots' is not a number",
+              rejection("synthetic:mem=lots"));
+    EXPECT_EQ("synthetic:mem=2: knob 'mem'=2 outside [0, 1]",
+              rejection("synthetic:mem=2"));
+    // NaN passes no range check; the seed is a non-negative integer.
+    EXPECT_TRUE(rejectedWith("synthetic:mem=nan", "outside"));
+    EXPECT_TRUE(rejectedWith("synthetic:seed=-1", "outside"));
+    EXPECT_TRUE(rejectedWith("synthetic:seed=2.5", "must be a whole"));
 }
 
 TEST(ScenarioRegistry, MarkovKnobBuildsASeededRegimeChain)
 {
-    ScenarioRegistry &registry = ScenarioRegistry::instance();
-    BenchmarkSpec chain = registry.spec("synthetic:markov=24,mem=0.5");
+    BenchmarkSpec chain = resolved("synthetic:markov=24,mem=0.5");
     ASSERT_EQ(chain.phases.size(), 24u);
     EXPECT_EQ(chain.periodInstructions, 0u); // weight-scaled
 
@@ -569,14 +617,14 @@ TEST(ScenarioRegistry, MarkovKnobBuildsASeededRegimeChain)
     for (const PhaseSpec &phase : chain.phases)
         footprints.insert(phase.dataFootprint);
     EXPECT_GE(footprints.size(), 2u);
-    BenchmarkSpec again = registry.spec("synthetic:markov=24,mem=0.5");
+    BenchmarkSpec again = resolved("synthetic:markov=24,mem=0.5");
     for (std::size_t i = 0; i < chain.phases.size(); ++i)
         EXPECT_EQ(chain.phases[i].dataFootprint,
                   again.phases[i].dataFootprint);
 
     // A different seed shuffles the chain.
     BenchmarkSpec other =
-        registry.spec("synthetic:markov=24,mem=0.5,seed=9");
+        resolved("synthetic:markov=24,mem=0.5,seed=9");
     bool differs = false;
     for (std::size_t i = 0; i < chain.phases.size(); ++i)
         differs = differs || chain.phases[i].dataFootprint !=
@@ -586,9 +634,8 @@ TEST(ScenarioRegistry, MarkovKnobBuildsASeededRegimeChain)
 
 TEST(ScenarioRegistry, SquareKnobPinsAnAbsoluteFlipPeriod)
 {
-    ScenarioRegistry &registry = ScenarioRegistry::instance();
     BenchmarkSpec square =
-        registry.spec("synthetic:square=1000,mem=0.5");
+        resolved("synthetic:square=1000,mem=0.5");
     ASSERT_EQ(square.phases.size(), 2u);
     EXPECT_EQ(square.periodInstructions, 2000u);
     // The two regimes sit on opposite sides of the mem knob.
@@ -614,9 +661,8 @@ TEST(ScenarioRegistry, SquareKnobPinsAnAbsoluteFlipPeriod)
 
 TEST(ScenarioRegistry, DriftKnobRampsMonotonically)
 {
-    ScenarioRegistry &registry = ScenarioRegistry::instance();
     BenchmarkSpec drift =
-        registry.spec("synthetic:drift=0.8,mem=0.5");
+        resolved("synthetic:drift=0.8,mem=0.5");
     ASSERT_EQ(drift.phases.size(), 48u);
     for (std::size_t i = 1; i < drift.phases.size(); ++i) {
         EXPECT_GE(drift.phases[i].loadFrac,
