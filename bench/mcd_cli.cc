@@ -1084,47 +1084,34 @@ usage()
 }
 
 /**
- * Fatal unless every flag in `flags` is read by one of the chosen
- * batch verbs: the batch verbs share one grammar, and a flag the verb
- * ignores (`regen table3 --seed 5`) would otherwise look like it
- * worked.
+ * Fatal unless every flag in `flags` is read by `verb`: the batch
+ * verbs share one grammar, and a flag the verb ignores
+ * (`regen table3 --seed 5`) would otherwise look like it worked.
  */
 void
-checkVerbFlags(const std::vector<std::string> &flags, bool list, bool run,
-               bool cache, bool prune, bool regen, bool tournament)
+checkVerbFlags(const std::vector<std::string> &flags,
+               const std::string &verb)
 {
-    struct Verb
-    {
-        const char *name;
-        bool chosen;
-        std::vector<std::string> flags;
-    };
-    const Verb verbs[] = {
-        {"list", list, {"--json"}},
-        {"run", run,
+    const std::map<std::string, std::vector<std::string>> read = {
+        {"list", {"--json"}},
+        {"run",
          {"--bench", "--controller", "--mode", "--freq", "--seed",
           "--store", "--checkpoint-every", "--json"}},
-        {"cache", cache && !prune, {"--store", "--json"}},
-        {"cache prune", prune,
+        {"cache", {"--store", "--json"}},
+        {"cache prune",
          {"--store", "--max-bytes", "--max-age", "--tmp-age", "--json"}},
-        {"regen", regen, {"--store"}},
-        {"tournament", tournament,
+        {"regen", {"--store"}},
+        {"tournament",
          {"--scenarios", "--controllers", "--target-deg", "--store",
           "--json"}},
     };
-    for (const auto &flag : flags) {
-        std::string chosen;
-        bool read = false;
-        for (const Verb &verb : verbs) {
-            if (!verb.chosen)
-                continue;
-            chosen += (chosen.empty() ? "" : "/") + std::string(verb.name);
-            read = read || std::find(verb.flags.begin(), verb.flags.end(),
-                                     flag) != verb.flags.end();
-        }
-        if (!read && !chosen.empty())
-            mcd_fatal("%s does not take %s", chosen.c_str(), flag.c_str());
-    }
+    auto it = read.find(verb);
+    if (it == read.end())
+        return;
+    for (const auto &flag : flags)
+        if (std::find(it->second.begin(), it->second.end(), flag) ==
+            it->second.end())
+            mcd_fatal("%s does not take %s", verb.c_str(), flag.c_str());
 }
 
 int
@@ -1146,12 +1133,7 @@ runCli(std::vector<std::string> args)
         return profileCli({args.begin() + 1, args.end()});
 
     bool json = false;
-    bool do_list = false;
-    bool do_run = false;
-    bool do_cache = false;
-    bool do_prune = false;
-    bool do_regen = false;
-    bool do_tournament = false;
+    std::string verb; // the one batch verb of this call
     std::vector<std::string> benches;
     std::vector<std::string> regen_targets;
     std::vector<std::string> tournament_scenarios;
@@ -1181,18 +1163,15 @@ runCli(std::vector<std::string> args)
         const std::string &arg = args[i];
         if (arg.rfind("--", 0) == 0 && arg != "--list")
             flags.push_back(arg);
-        if (arg == "list" || arg == "--list") {
-            do_list = true;
-        } else if (arg == "run") {
-            do_run = true;
-        } else if (arg == "cache") {
-            do_cache = true;
-        } else if (arg == "prune" && do_cache) {
-            do_prune = true;
-        } else if (arg == "regen") {
-            do_regen = true;
-        } else if (arg == "tournament") {
-            do_tournament = true;
+        if (arg == "list" || arg == "--list" || arg == "run" ||
+            arg == "cache" || arg == "regen" || arg == "tournament") {
+            std::string name = arg == "--list" ? "list" : arg;
+            if (!verb.empty())
+                mcd_fatal("one verb per call, not both %s and %s",
+                          verb.c_str(), name.c_str());
+            verb = name;
+        } else if (arg == "prune" && verb == "cache") {
+            verb = "cache prune";
         } else if (arg == "--scenarios") {
             tournament_scenarios.push_back(value(i));
         } else if (arg == "--controllers") {
@@ -1207,7 +1186,7 @@ runCli(std::vector<std::string> args)
         } else if (arg == "--tmp-age") {
             tmp_age = static_cast<std::int64_t>(
                 parseU64Flag("--tmp-age", value(i)));
-        } else if (do_regen && !arg.empty() && arg[0] != '-') {
+        } else if (verb == "regen" && !arg.empty() && arg[0] != '-') {
             for (const auto &name : splitList(arg))
                 regen_targets.push_back(name);
         } else if (arg == "--store") {
@@ -1251,43 +1230,40 @@ runCli(std::vector<std::string> args)
         }
     }
 
-    checkVerbFlags(flags, do_list, do_run, do_cache, do_prune, do_regen,
-                   do_tournament);
+    checkVerbFlags(flags, verb);
 
-    if (do_list)
+    if (verb == "list") {
         listRegistries(json);
-    if (do_run) {
+        return 0;
+    }
+    if (verb == "run") {
         if (benches.empty())
             mcd_fatal("run needs --bench <name>[,<name>...]");
         return runExperimentsCli(benches, controller, mode, freq, seed,
                                  have_seed, store, checkpoint_every,
                                  have_checkpoint, json);
     }
-    if (do_tournament)
+    if (verb == "tournament")
         return tournamentCli(tournament_scenarios,
                              tournament_controllers, target_deg, store,
                              json);
-    if (do_regen) {
+    if (verb == "regen") {
         if (regen_targets.empty())
             mcd_fatal("regen needs at least one target "
                       "(e.g. regen fig5,table6)");
         return regenCli(regen_targets, store);
     }
-    if (do_cache) {
+    if (verb == "cache" || verb == "cache prune") {
         // Standalone `cache` reports on the persistent layer (--store
-        // or MCD_STORE); after `run` in the same process it would also
-        // reflect that run's counters, but subcommands are exclusive.
+        // or MCD_STORE).
         std::string root =
             store.empty() ? standardConfig().store : store;
-        if (do_prune)
+        if (verb == "cache prune")
             return pruneCli(root, max_bytes, max_age, tmp_age, json);
         return cacheStatsCli(root, json);
     }
-    if (!do_list) {
-        usage();
-        return 2;
-    }
-    return 0;
+    usage();
+    return 2;
 }
 
 } // namespace

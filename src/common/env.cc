@@ -1,5 +1,6 @@
 #include "common/env.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -109,22 +110,29 @@ envScenarioList(const char *name)
 
 bool
 parseKeyValues(const std::string &text,
-               std::map<std::string, double> &out, KeyValueError &error)
+               std::map<std::string, double> &out, KeyValueError &error,
+               const std::vector<std::string> &known)
 {
     for (const std::string &item : splitList(text)) {
         auto eq = item.find('=');
         if (eq == std::string::npos || eq == 0) {
-            error = {true, item, ""};
+            error = {KeyValueError::NotKeyValue, item, ""};
             return false;
         }
+        std::string key = item.substr(0, eq);
         std::string value = item.substr(eq + 1);
+        if (!known.empty() &&
+            std::find(known.begin(), known.end(), key) == known.end()) {
+            error = {KeyValueError::UnknownKey, key, value};
+            return false;
+        }
         char *end = nullptr;
         double v = std::strtod(value.c_str(), &end);
         if (value.empty() || end != value.c_str() + value.size()) {
-            error = {false, item.substr(0, eq), value};
+            error = {KeyValueError::NotNumber, key, value};
             return false;
         }
-        out[item.substr(0, eq)] = v;
+        out[key] = v;
     }
     return true;
 }

@@ -67,20 +67,22 @@ std::vector<std::string> splitScenarioList(const std::string &text);
 /** splitScenarioList over environment variable `name` ({} if unset). */
 std::vector<std::string> envScenarioList(const char *name);
 
-/** The first bad item of a `key=value,...` list: not key=value
- *  (`key` holds the whole item), or `value` is not a number. */
+/** The first bad item of a `key=value,...` list (for NotKeyValue,
+ *  `key` holds the whole item). */
 struct KeyValueError
 {
-    bool notKeyValue = false;
+    enum Kind { NotKeyValue, UnknownKey, NotNumber } kind = NotKeyValue;
     std::string key;
     std::string value;
 };
 
 /** The `k=v,...` grammar of scenario knobs and controller params:
- *  numbers by key, empty items skipped, the last repeat kept. */
+ *  numbers by key, empty items skipped, the last repeat kept; a
+ *  non-empty `known` is checked item by item, before the value. */
 bool parseKeyValues(const std::string &text,
                     std::map<std::string, double> &out,
-                    KeyValueError &error);
+                    KeyValueError &error,
+                    const std::vector<std::string> &known = {});
 
 } // namespace mcd
 

@@ -105,7 +105,7 @@ parseControllerSpec(const std::string &text, ControllerSpec &out,
     KeyValueError bad;
     if (colon != std::string::npos &&
         !parseKeyValues(text.substr(colon + 1), spec.params, bad))
-        return failWith(error, bad.notKeyValue
+        return failWith(error, bad.kind == KeyValueError::NotKeyValue
                                    ? "controller parameter '" + bad.key +
                                          "' is not key=value"
                                    : "controller parameter '" + bad.key +

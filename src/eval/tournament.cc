@@ -161,6 +161,8 @@ validateTournament(const TournamentOptions &options, std::string *error)
     if (options.controllers.empty())
         return failWith(error,
                         "tournament needs at least one controller");
+    if (!options.config.check(error))
+        return false;
     BenchmarkSpec spec;
     for (const auto &scenario : options.scenarios)
         if (!ScenarioRegistry::instance().resolve(scenario, spec, error))

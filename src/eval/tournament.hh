@@ -96,8 +96,8 @@ std::vector<std::string> adversarialCorpus();
 std::vector<TournamentEntry> defaultTournamentEntries();
 
 /** The one check every edge makes of user-built options before any
- *  work: non-empty lists of resolvable scenarios and checked
- *  controllers. */
+ *  work: a methodology that passes RunnerConfig::check, and non-empty
+ *  lists of resolvable scenarios and checked controllers. */
 bool validateTournament(const TournamentOptions &options,
                         std::string *error);
 

@@ -195,7 +195,8 @@ bool
 validateExperiment(const ExperimentSpec &spec, std::string *error)
 {
     BenchmarkSpec scenario;
-    return ScenarioRegistry::instance().resolve(spec.benchmark, scenario,
+    return spec.config.check(error) &&
+           ScenarioRegistry::instance().resolve(spec.benchmark, scenario,
                                                 error) &&
            ControllerRegistry::instance().check(spec.controller, error);
 }

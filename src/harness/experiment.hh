@@ -142,7 +142,8 @@ struct GlobalMatchSpec
 };
 
 /** The one check every edge makes of a user-built spec before any
- *  work: the scenario resolves and the controller passes check(). */
+ *  work: the methodology passes RunnerConfig::check, the scenario
+ *  resolves and the controller passes check(). */
 bool validateExperiment(const ExperimentSpec &spec, std::string *error);
 
 /** Run one ExperimentSpec directly, bypassing the cache. */

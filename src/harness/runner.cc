@@ -138,6 +138,18 @@ RunnerConfig::describe() const
         static_cast<unsigned long long>(clockSeed), jitter ? 1 : 0);
 }
 
+bool
+RunnerConfig::check(std::string *error) const
+{
+    if (instructions == 0 || intervalInstructions <= 0)
+        return failWith(error, "\"instructions\" and \"interval\" must be "
+                               "positive");
+    if (warmup > UINT64_MAX - instructions)
+        return failWith(error, "\"instructions\" + \"warmup\" must be "
+                               "below 2^64");
+    return true;
+}
+
 SimConfig
 makeSimConfig(const RunnerConfig &config, ClockMode mode,
               Hertz start_freq)

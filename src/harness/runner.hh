@@ -103,6 +103,11 @@ struct RunnerConfig
 
     /** One-line human-readable summary (provenance sidecars). */
     std::string describe() const;
+
+    /** The run methodology a user may set: a positive measured window
+     *  and interval, and a horizon (instructions + warmup) that fits
+     *  in 64 bits. False, with the message in `error`, otherwise. */
+    bool check(std::string *error) const;
 };
 
 /**

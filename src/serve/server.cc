@@ -452,9 +452,6 @@ Server::handleRun(const std::shared_ptr<Connection> &conn,
                    &error))
         return failRequest(error);
     config.intervalInstructions = static_cast<int>(interval);
-    if (config.instructions == 0 || config.intervalInstructions <= 0)
-        return failRequest("\"instructions\" and \"interval\" must be "
-                           "positive");
 
     for (const char *key : {"mode", "controller"})
         if (request.get(key) && !request.get(key)->isString())

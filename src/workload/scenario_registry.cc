@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <map>
 #include <mutex>
 
@@ -63,31 +62,31 @@ buildSynthetic(const std::string &name, BenchmarkSpec &spec,
         {"markov", 0, 0, 256, true},     {"square", 0, 0, 1e7, true},
         {"drift", 0, 0, 1, false},       {"fp", 0, 0, 1, false},
         {"branch", 0.25, 0, 1, false},
+        // Any whole seed below 2^64, so the cast below is defined.
         {"seed", static_cast<double>(serial::fnv1a(name) % 100000), 0,
-         1e15, true},
+         std::nextafter(0x1p64, 0.0), true},
     };
 
+    std::vector<std::string> keys;
+    std::string valid;
+    for (const Knob &k : table) {
+        keys.push_back(k.key);
+        valid += (valid.empty() ? "" : ", ") + std::string(k.key);
+    }
     std::map<std::string, double> knobs;
     KeyValueError bad;
     if (!parseKeyValues(name.substr(std::string("synthetic:").size()),
-                        knobs, bad))
+                        knobs, bad, keys))
         return failWith(
-            error, bad.notKeyValue
-                       ? format("%s: knob '%s' is not key=value",
-                                name.c_str(), bad.key.c_str())
-                       : format("%s: knob '%s'='%s' is not a number",
-                                name.c_str(), bad.key.c_str(),
-                                bad.value.c_str()));
-    std::string valid;
-    for (const Knob &k : table)
-        valid += (valid.empty() ? "" : ", ") + std::string(k.key);
-    for (const auto &entry : knobs)
-        if (std::none_of(std::begin(table), std::end(table),
-                         [&](const Knob &k) { return entry.first == k.key; }))
-            return failWith(error,
-                            format("%s: unknown knob '%s' (valid knobs: %s)",
-                                   name.c_str(), entry.first.c_str(),
-                                   valid.c_str()));
+            error,
+            bad.kind == KeyValueError::NotKeyValue
+                ? format("%s: knob '%s' is not key=value", name.c_str(),
+                         bad.key.c_str())
+            : bad.kind == KeyValueError::UnknownKey
+                ? format("%s: unknown knob '%s' (valid knobs: %s)",
+                         name.c_str(), bad.key.c_str(), valid.c_str())
+                : format("%s: knob '%s'='%s' is not a number",
+                         name.c_str(), bad.key.c_str(), bad.value.c_str()));
     // Ranges first (NaN fails too), then the knob-specific minimums,
     // then wholeness.
     for (const Knob &k : table) {

@@ -325,6 +325,11 @@ TEST(Tournament, ValidationRejectsBadOptionsAsValues)
     EXPECT_FALSE(validateTournament(options, &error));
     EXPECT_NE(std::string::npos, error.find("unknown knob 'bogus'"))
         << error;
+
+    options.scenarios = {"gsm"};
+    options.config.intervalInstructions = 0;
+    EXPECT_FALSE(validateTournament(options, &error));
+    EXPECT_EQ("\"instructions\" and \"interval\" must be positive", error);
 }
 
 /**

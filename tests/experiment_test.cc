@@ -335,6 +335,19 @@ TEST(ExperimentSpec, ValidateChecksScenarioAndController)
     EXPECT_FALSE(validateExperiment(spec, &error));
     EXPECT_EQ("controller 'constant' requires a 'freq' parameter (Hz)",
               error);
+
+    // The methodology: a positive window and interval, and a horizon
+    // (instructions + warmup) that does not wrap.
+    spec.controller = ControllerSpec{};
+    spec.config.instructions = 0;
+    EXPECT_FALSE(validateExperiment(spec, &error));
+    EXPECT_EQ("\"instructions\" and \"interval\" must be positive", error);
+    spec.config.instructions = 1ull << 63;
+    spec.config.warmup = 1ull << 63;
+    EXPECT_FALSE(validateExperiment(spec, &error));
+    EXPECT_EQ("\"instructions\" + \"warmup\" must be below 2^64", error);
+    spec.config.warmup = (1ull << 63) - 1;
+    EXPECT_TRUE(validateExperiment(spec, &error)) << error;
 }
 
 // --------------------------------------------------------- ArtifactCache

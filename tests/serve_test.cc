@@ -354,6 +354,12 @@ TEST(ServeDaemon, UserErrorFatalsBecomeBadRequestReplies)
              "{\"op\": \"run\", \"benches\": [\"gsm\"], "
              "\"seed\": 1e20}",
              "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"instructions\": 0}",
+             // Each field in range, but the horizon wraps to 0.
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
+             "\"instructions\": 9223372036854775808, "
+             "\"warmup\": 9223372036854775808}",
+             "{\"op\": \"run\", \"benches\": [\"gsm\"], "
              "\"freq\": \"fast\"}",
              "{\"op\": \"run\", \"benches\": [\"gsm\"], \"mode\": 5}",
              "{\"op\": \"run\", \"benches\": [\"gsm\"], "

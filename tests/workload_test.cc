@@ -599,10 +599,22 @@ TEST(ScenarioRegistry, BadNamesAndKnobsAreErrorValues)
               rejection("synthetic:mem=lots"));
     EXPECT_EQ("synthetic:mem=2: knob 'mem'=2 outside [0, 1]",
               rejection("synthetic:mem=2"));
-    // NaN passes no range check; the seed is a non-negative integer.
+    // An unknown key is reported before its value is parsed, item by
+    // item.
+    EXPECT_TRUE(rejectedWith("synthetic:bogus=abc", "unknown knob 'bogus'"));
+    EXPECT_TRUE(rejectedWith("synthetic:bogus=1,mem=abc",
+                             "unknown knob 'bogus'"));
+    EXPECT_TRUE(rejectedWith("synthetic:mem=abc,bogus=1",
+                             "knob 'mem'='abc' is not a number"));
+    // NaN passes no range check; the seed is any whole number a
+    // 64-bit integer holds.
     EXPECT_TRUE(rejectedWith("synthetic:mem=nan", "outside"));
     EXPECT_TRUE(rejectedWith("synthetic:seed=-1", "outside"));
     EXPECT_TRUE(rejectedWith("synthetic:seed=2.5", "must be a whole"));
+    EXPECT_TRUE(rejectedWith("synthetic:seed=18446744073709551616",
+                             "outside"));
+    EXPECT_EQ(1e19, static_cast<double>(
+                        resolved("synthetic:seed=1e19").seed));
 }
 
 TEST(ScenarioRegistry, MarkovKnobBuildsASeededRegimeChain)
