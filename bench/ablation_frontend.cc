@@ -97,10 +97,9 @@ mcd::bench::ablationFrontend(RunnerConfig config)
     std::printf("=== Ablation: front-end frequency scaling ===\n");
     registerPinnedFrontEnd();
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
     TextTable part1("Part 1: fixed front-end frequency "
                     "(back end at maximum), vs baseline MCD");
@@ -108,7 +107,7 @@ mcd::bench::ablationFrontend(RunnerConfig config)
                      "deg / cut (1.0 = perfectly linear)"});
     for (Hertz fe : {0.9e9, 0.8e9, 0.7e9, 0.6e9}) {
         std::fprintf(stderr, "  front end at %.1f GHz\n", fe / 1e9);
-        auto stats = runVariant(runner, names, pinnedFrontEndSpec(fe),
+        auto stats = runVariant(config, names, pinnedFrontEndSpec(fe),
                                 ClockMode::Mcd, config.dvfs.freqMax);
         std::vector<ComparisonMetrics> vs_mcd;
         for (std::size_t i = 0; i < names.size(); ++i)
@@ -135,9 +134,9 @@ mcd::bench::ablationFrontend(RunnerConfig config)
         std::fprintf(stderr, "  A/D variants on %zu benchmarks\n",
                      names.size());
         auto ad_stats = runVariant(
-            runner, names, attackDecaySpec(scaledAttackDecayConfig()));
+            config, names, attackDecaySpec(scaledAttackDecayConfig()));
         auto fe_stats = runVariant(
-            runner, names,
+            config, names,
             attackDecaySpec(scaledAttackDecayConfig(),
                             "frontend_attack_decay"),
             ClockMode::Mcd, config.dvfs.freqMax);

@@ -29,7 +29,6 @@ mcd::bench::ablationGlobal(RunnerConfig config)
     std::printf("=== Ablation: global-DVFS matching interpretation "
                 "===\n");
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
     const double target_deg = 0.032; // the paper's A/D degradation
@@ -52,21 +51,23 @@ mcd::bench::ablationGlobal(RunnerConfig config)
     // The synchronous reference and the frequency-matched point are
     // plain declarative runs (the matched frequency is a closed-form
     // function of the target); only the time-matched search needs the
-    // adaptive Runner driver.
-    auto sync_stats = runVariant(runner, names, ControllerSpec{},
+    // adaptive GlobalMatchSpec driver.
+    auto sync_stats = runVariant(config, names, ControllerSpec{},
                                  ClockMode::Synchronous,
                                  config.dvfs.freqMax);
-    const Hertz fm_freq = runner.globalMatchedFrequency(target_deg);
-    auto fm_stats = runVariant(runner, names, ControllerSpec{},
+    const Hertz fm_freq = globalMatchedFrequency(config.dvfs, target_deg);
+    auto fm_stats = runVariant(config, names, ControllerSpec{},
                                ClockMode::Synchronous, fm_freq);
     auto rows = sweep.map<Row>(names.size(), [&](std::size_t i) {
-        Runner local(benchmarkConfig(config, i));
         Row row;
         row.sync = sync_stats[i];
         row.fm = GlobalResult{fm_stats[i], fm_freq};
         Tick target_time = static_cast<Tick>(
             static_cast<double>(row.sync.time) * (1.0 + target_deg));
-        row.tm = local.runGlobalMatching(names[i], target_time);
+        row.tm = ArtifactCache::instance().getOrRun(
+            GlobalMatchSpec{.benchmark = names[i],
+                            .targetTime = target_time,
+                            .config = benchmarkConfig(config, i)});
         return row;
     });
 

@@ -35,15 +35,14 @@ mcd::bench::ablationInterval(RunnerConfig base_config)
         std::fprintf(stderr, "  interval = %d\n", interval);
         RunnerConfig config = base_config;
         config.intervalInstructions = interval;
-        Runner runner(config);
 
         // Baseline and A/D run of one benchmark share the derived
         // seed (same index in both batches), keeping them comparable.
         ControllerSpec profiling;
         profiling.name = "profiling";
-        auto mcd_base = runVariant(runner, names, profiling);
+        auto mcd_base = runVariant(config, names, profiling);
         auto ad_stats = runVariant(
-            runner, names, attackDecaySpec(scaledAttackDecayConfig()));
+            config, names, attackDecaySpec(scaledAttackDecayConfig()));
         std::vector<ComparisonMetrics> vs_mcd;
         for (std::size_t i = 0; i < names.size(); ++i)
             vs_mcd.push_back(compare(mcd_base[i], ad_stats[i]));

@@ -22,10 +22,9 @@ mcd::bench::ablationListing(RunnerConfig config)
 {
     std::printf("=== Ablation: PerfDegThreshold guard semantics ===\n");
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
     struct Variant
     {
@@ -50,7 +49,7 @@ mcd::bench::ablationListing(RunnerConfig config)
                      "EDP improvement", "power/perf ratio"});
     for (const auto &v : variants) {
         std::fprintf(stderr, "  variant: %s\n", v.name);
-        auto stats = runVariant(runner, names, attackDecaySpec(v.adc));
+        auto stats = runVariant(config, names, attackDecaySpec(v.adc));
         std::vector<ComparisonMetrics> vs_mcd;
         for (std::size_t i = 0; i < names.size(); ++i)
             vs_mcd.push_back(compare(baselines.mcd.at(names[i]),

@@ -55,32 +55,38 @@ makeSpec(const RunnerConfig &config, const std::string &bench,
 }
 
 BenchResults
-computeOne(Runner &runner, const std::string &name,
+computeOne(const RunnerConfig &config, const std::string &name,
            const ComputeOptions &options)
 {
     BenchResults r;
     r.name = name;
+    ArtifactCache &cache = ArtifactCache::instance();
 
     // Every product here is an artifact: the baseline MCD run doubles
     // as the off-line profiling pass (one simulation, two artifacts),
     // the synchronous and Attack/Decay runs are plain cacheable
     // specs, and the offline searches memoize whole results.
-    std::vector<IntervalProfile> profile;
-    r.mcdBase = runner.runMcdBaseline(name, &profile);
+    ProfileSpec baseline{.benchmark = name, .config = config};
+    std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
+    r.mcdBase = cache.getOrRun(baseline.experimentSpec());
 
     ControllerSpec none;
-    r.sync = ArtifactCache::instance().getOrRun(
-        makeSpec(runner.config(), name, none, ClockMode::Synchronous,
-                 runner.config().dvfs.freqMax));
-    r.attackDecay = ArtifactCache::instance().getOrRun(
-        makeSpec(runner.config(), name,
-                 attackDecaySpec(scaledAttackDecayConfig())));
+    r.sync = cache.getOrRun(makeSpec(config, name, none,
+                                     ClockMode::Synchronous,
+                                     config.dvfs.freqMax));
+    r.attackDecay = cache.getOrRun(makeSpec(
+        config, name, attackDecaySpec(scaledAttackDecayConfig())));
 
+    auto offline = [&](double target_deg) {
+        return cache.getOrRun(OfflineSearchSpec{.benchmark = name,
+                                                .targetDeg = target_deg,
+                                                .mcdBase = r.mcdBase,
+                                                .profile = profile,
+                                                .config = config});
+    };
     if (options.offline) {
-        r.dynamic1 = runner.runOfflineDynamic(name, 0.01, r.mcdBase,
-                                              profile);
-        r.dynamic5 = runner.runOfflineDynamic(name, 0.05, r.mcdBase,
-                                              profile);
+        r.dynamic1 = offline(0.01);
+        r.dynamic5 = offline(0.05);
     }
 
     if (options.globals) {
@@ -90,7 +96,11 @@ computeOne(Runner &runner, const std::string &name,
             double deg = (static_cast<double>(target.time) -
                           static_cast<double>(r.mcdBase.time)) /
                          static_cast<double>(r.mcdBase.time);
-            return runner.runGlobalAtDegradation(name, deg);
+            Hertz freq = globalMatchedFrequency(config.dvfs, deg);
+            return GlobalResult{
+                cache.getOrRun(makeSpec(config, name, none,
+                                        ClockMode::Synchronous, freq)),
+                freq};
         };
         r.globalAd = match(r.attackDecay);
         if (options.offline) {
@@ -102,22 +112,22 @@ computeOne(Runner &runner, const std::string &name,
 }
 
 std::vector<BenchResults>
-computeAll(Runner &runner, const std::vector<std::string> &names,
+computeAll(const RunnerConfig &config,
+           const std::vector<std::string> &names,
            const ComputeOptions &options)
 {
-    // One job per benchmark. Each job gets its own Runner whose clock
-    // seed is derived from the job index, so every variant of one
+    // One job per benchmark. Each job gets its own methodology whose
+    // clock seed is derived from the job index, so every variant of one
     // benchmark (computed inside the job) stays comparable while
     // results are bit-identical for any worker count. The inner
     // offline searches run serial (jobs = 1): parallelism lives at the
     // benchmark level here, and nesting pools would oversubscribe.
-    ParallelSweep sweep(runner.config().jobs);
+    ParallelSweep sweep(config.jobs);
     std::fprintf(stderr, "  running %zu benchmarks on %d workers\n",
                  names.size(), sweep.workers());
     return sweep.map<BenchResults>(names.size(), [&](std::size_t i) {
-        RunnerConfig config = benchmarkConfig(runner.config(), i);
-        config.jobs = 1;
-        Runner local(config);
+        RunnerConfig local = benchmarkConfig(config, i);
+        local.jobs = 1;
         BenchResults r = computeOne(local, names[i], options);
         std::fprintf(stderr, "  done %s\n", names[i].c_str());
         return r;

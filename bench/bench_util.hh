@@ -55,7 +55,7 @@ struct ComputeOptions
     bool globals = true;
 };
 
-/** The standard runner config with env overrides applied. */
+/** The standard methodology with env overrides applied. */
 RunnerConfig standardConfig();
 
 /** Scenarios selected via MCD_BENCHMARKS, or the paper's 30. */
@@ -83,7 +83,8 @@ ExperimentSpec makeSpec(const RunnerConfig &config,
                         Hertz startFreq = 0.0);
 
 /** Run the canonical experiment set for one benchmark. */
-BenchResults computeOne(Runner &runner, const std::string &name,
+BenchResults computeOne(const RunnerConfig &config,
+                        const std::string &name,
                         const ComputeOptions &options);
 
 /**
@@ -92,7 +93,8 @@ BenchResults computeOne(Runner &runner, const std::string &name,
  * Results are in `names` order and bit-identical for any worker count.
  */
 std::vector<BenchResults>
-computeAll(Runner &runner, const std::vector<std::string> &names,
+computeAll(const RunnerConfig &config,
+           const std::vector<std::string> &names,
            const ComputeOptions &options);
 
 /** Print the methodology banner (window sizes, interval). */

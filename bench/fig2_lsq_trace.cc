@@ -26,7 +26,6 @@ mcd::bench::fig2LsqTrace(RunnerConfig config)
                 "decode ===\n");
     config.warmup = 0;
     printMethodology(config);
-    Runner runner(config);
 
     struct Sample
     {
@@ -38,14 +37,15 @@ mcd::bench::fig2LsqTrace(RunnerConfig config)
 
     std::uint64_t insns = 0;
     AttackDecayConfig adc = scaledAttackDecayConfig();
-    runner.runAttackDecay("epic", adc,
-                          [&](const IntervalStats &stats) {
-                              insns += stats.instructions;
-                              samples.push_back(
-                                  {insns,
-                                   stats.domains[CTL_LS].queueUtilization,
-                                   stats.domains[CTL_LS].frequency});
-                          });
+    runExperiment({.benchmark = "epic",
+                   .controller = attackDecaySpec(adc),
+                   .config = config},
+                  [&](const IntervalStats &stats) {
+                      insns += stats.instructions;
+                      samples.push_back(
+                          {insns, stats.domains[CTL_LS].queueUtilization,
+                           stats.domains[CTL_LS].frequency});
+                  });
 
     // The paper's window is 4-5M of 6.7M instructions; take the same
     // relative slice (60 % - 75 % of the run).

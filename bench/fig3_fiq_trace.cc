@@ -29,7 +29,6 @@ mcd::bench::fig3FiqTrace(RunnerConfig config)
                 "epic decode ===\n");
     config.warmup = 0; // the figure starts at instruction 0
     printMethodology(config);
-    Runner runner(config);
 
     struct Sample
     {
@@ -40,14 +39,15 @@ mcd::bench::fig3FiqTrace(RunnerConfig config)
     std::vector<Sample> samples;
 
     std::uint64_t insns = 0;
-    runner.runAttackDecay("epic", scaledAttackDecayConfig(),
-                          [&](const IntervalStats &stats) {
-                              insns += stats.instructions;
-                              samples.push_back(
-                                  {insns,
-                                   stats.domains[CTL_FP].queueUtilization,
-                                   stats.domains[CTL_FP].frequency});
-                          });
+    runExperiment({.benchmark = "epic",
+                   .controller = attackDecaySpec(scaledAttackDecayConfig()),
+                   .config = config},
+                  [&](const IntervalStats &stats) {
+                      insns += stats.instructions;
+                      samples.push_back(
+                          {insns, stats.domains[CTL_FP].queueUtilization,
+                           stats.domains[CTL_FP].frequency});
+                  });
 
     std::printf("instructions,fiq_utilization,fp_freq_ghz\n");
     for (const auto &s : samples) {

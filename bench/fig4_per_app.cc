@@ -61,12 +61,11 @@ mcd::bench::fig4PerApp(RunnerConfig config)
     std::printf("=== Figure 4: per-application results relative to a "
                 "fully synchronous processor ===\n");
     printMethodology(config);
-    Runner runner(config);
 
     auto names = selectedBenchmarks();
     ComputeOptions options;
     options.globals = false; // Figure 4 has no Global(...) series
-    auto all = computeAll(runner, names, options);
+    auto all = computeAll(config, names, options);
 
     printSeries("Figure 4(a): Performance Degradation", all,
                 &ComparisonMetrics::perfDegradation);

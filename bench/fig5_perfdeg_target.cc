@@ -24,10 +24,9 @@ mcd::bench::fig5PerfdegTarget(RunnerConfig config)
     std::printf("=== Figure 5: performance degradation target analysis "
                 "(config 1.000_06.0_1.250_X.X) ===\n");
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
     std::vector<double> targets = {0.00, 0.02, 0.04, 0.06,
                                    0.08, 0.10, 0.12};
@@ -40,7 +39,7 @@ mcd::bench::fig5PerfdegTarget(RunnerConfig config)
         adc.perfDegThreshold = target;  // X.X
         std::fprintf(stderr, "  sweep target %.0f%%\n", target * 100);
         points.push_back(
-            runSweepPoint(runner, names, baselines, adc, target));
+            runSweepPoint(config, names, baselines, adc, target));
     }
 
     TextTable table("Figure 5(a)/(b): achieved degradation and EDP "

@@ -21,7 +21,7 @@ namespace
 {
 
 void
-sweep(Runner &runner, const std::vector<std::string> &names,
+sweep(const RunnerConfig &config, const std::vector<std::string> &names,
       const SweepBaselines &baselines, const char *title,
       const std::vector<double> &values,
       AttackDecayConfig (*make)(double))
@@ -32,7 +32,7 @@ sweep(Runner &runner, const std::vector<std::string> &names,
     for (double v : values) {
         std::fprintf(stderr, "  sweep %s = %.3f%%\n", title, v * 100);
         SweepPoint p =
-            runSweepPoint(runner, names, baselines, make(v), v);
+            runSweepPoint(config, names, baselines, make(v), v);
         table.addRow({pct(v, 3), pct(p.edpImprovementVsMcd),
                       pct(p.energySavingsVsMcd)});
     }
@@ -48,12 +48,11 @@ mcd::bench::fig6EdpSensitivity(RunnerConfig config)
     std::printf("=== Figure 6: Attack/Decay sensitivity analysis, "
                 "energy-delay product improvements ===\n");
     printMethodology(config);
-    Runner runner(config);
 
     auto names = sweepBenchmarks();
-    auto baselines = computeBaselines(runner, names);
+    auto baselines = computeBaselines(config, names);
 
-    sweep(runner, names, baselines,
+    sweep(config, names, baselines,
           "Figure 6(a): DecayPercent sensitivity (1.500_04.0_X.XXX_3.0)",
           {0.0005, 0.00175, 0.005, 0.0075, 0.010, 0.015, 0.020},
           [](double v) {
@@ -65,7 +64,7 @@ mcd::bench::fig6EdpSensitivity(RunnerConfig config)
               return adc;
           });
 
-    sweep(runner, names, baselines,
+    sweep(config, names, baselines,
           "Figure 6(b): ReactionChange sensitivity "
           "(1.500_XX.X_0.750_3.0)",
           {0.005, 0.02, 0.04, 0.06, 0.09, 0.12, 0.155},
@@ -78,7 +77,7 @@ mcd::bench::fig6EdpSensitivity(RunnerConfig config)
               return adc;
           });
 
-    sweep(runner, names, baselines,
+    sweep(config, names, baselines,
           "Figure 6(c): DeviationThreshold sensitivity "
           "(X.XXX_06.0_0.175_2.5)",
           {0.0, 0.005, 0.0075, 0.0125, 0.0175, 0.025},

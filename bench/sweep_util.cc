@@ -37,18 +37,19 @@ seedMatchedSpecs(const RunnerConfig &base,
 }
 
 std::vector<SimStats>
-runVariant(const Runner &runner, const std::vector<std::string> &names,
+runVariant(const RunnerConfig &config,
+           const std::vector<std::string> &names,
            const ControllerSpec &controller, ClockMode mode,
            Hertz startFreq)
 {
     return runExperiments(
-        seedMatchedSpecs(runner.config(), names, controller, mode,
-                         startFreq),
-        runner.config().jobs);
+        seedMatchedSpecs(config, names, controller, mode, startFreq),
+        config.jobs);
 }
 
 SweepBaselines
-computeBaselines(Runner &runner, const std::vector<std::string> &names)
+computeBaselines(const RunnerConfig &config,
+                 const std::vector<std::string> &names)
 {
     // Both baseline batches derive benchmark i's seed from i
     // (benchmarkConfig), exactly like the variant batches of every
@@ -58,12 +59,12 @@ computeBaselines(Runner &runner, const std::vector<std::string> &names)
     // process — free.
     std::fprintf(stderr, "  running %zu baselines on %d workers ...",
                  2 * names.size(),
-                 ParallelSweep(runner.config().jobs).workers());
+                 ParallelSweep(config.jobs).workers());
     std::fflush(stderr);
     ControllerSpec profiling;
     profiling.name = "profiling";
-    auto mcd = runVariant(runner, names, profiling);
-    auto sync = runVariant(runner, names, ControllerSpec{},
+    auto mcd = runVariant(config, names, profiling);
+    auto sync = runVariant(config, names, ControllerSpec{},
                            ClockMode::Synchronous);
     std::fprintf(stderr, " done\n");
 
@@ -76,12 +77,13 @@ computeBaselines(Runner &runner, const std::vector<std::string> &names)
 }
 
 SweepPoint
-runSweepPoint(Runner &runner, const std::vector<std::string> &names,
+runSweepPoint(const RunnerConfig &config,
+              const std::vector<std::string> &names,
               const SweepBaselines &baselines,
               const AttackDecayConfig &adc, double parameter)
 {
     auto results =
-        runVariant(runner, names, attackDecaySpec(adc));
+        runVariant(config, names, attackDecaySpec(adc));
 
     // Aggregate strictly in benchmark order on the collected batch, so
     // the floating-point sums never depend on completion order.

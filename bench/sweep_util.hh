@@ -46,7 +46,8 @@ seedMatchedSpecs(const RunnerConfig &base,
  * order, bit-identical for any worker count.
  */
 std::vector<SimStats>
-runVariant(const Runner &runner, const std::vector<std::string> &names,
+runVariant(const RunnerConfig &config,
+           const std::vector<std::string> &names,
            const ControllerSpec &controller,
            ClockMode mode = ClockMode::Mcd, Hertz startFreq = 0.0);
 
@@ -57,7 +58,7 @@ struct SweepBaselines
     std::map<std::string, SimStats> sync;
 };
 
-SweepBaselines computeBaselines(Runner &runner,
+SweepBaselines computeBaselines(const RunnerConfig &config,
                                 const std::vector<std::string> &names);
 
 /** Aggregate metrics of one Attack/Decay configuration. */
@@ -72,7 +73,7 @@ struct SweepPoint
 };
 
 /** Run one A/D configuration over the subset and aggregate. */
-SweepPoint runSweepPoint(Runner &runner,
+SweepPoint runSweepPoint(const RunnerConfig &config,
                          const std::vector<std::string> &names,
                          const SweepBaselines &baselines,
                          const AttackDecayConfig &adc, double parameter);

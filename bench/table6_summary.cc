@@ -55,10 +55,9 @@ mcd::bench::table6Summary(RunnerConfig config)
     std::printf("=== Table 6: algorithm comparison relative to the "
                 "baseline MCD processor ===\n");
     printMethodology(config);
-    Runner runner(config);
 
     auto names = selectedBenchmarks();
-    auto all = computeAll(runner, names, ComputeOptions{});
+    auto all = computeAll(config, names, ComputeOptions{});
 
     AlgorithmSummary ad{"Attack/Decay", {}};
     AlgorithmSummary dyn1{"Dynamic-1%", {}};

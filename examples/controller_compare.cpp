@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/runner.hh"
+#include "harness/experiment.hh"
 #include "harness/table.hh"
 #include "workload/scenario_registry.hh"
 
@@ -43,20 +43,40 @@ main(int argc, char **argv)
     config.instructions = 150000;
     config.warmup = 30000;
     config.applyEnvOverrides();
-    mcd::Runner runner(config);
+    mcd::ArtifactCache &cache = mcd::ArtifactCache::instance();
 
     for (const auto &bench : benches) {
         std::fprintf(stderr, "running %s ...\n", bench.c_str());
-        std::vector<mcd::IntervalProfile> profile;
-        mcd::SimStats mcd_base = runner.runMcdBaseline(bench, &profile);
-        mcd::SimStats sync = runner.runSynchronous(bench, 1.0e9);
-        mcd::SimStats ad =
-            runner.runAttackDecay(bench, mcd::AttackDecayConfig{});
-        mcd::OfflineResult dyn1 =
-            runner.runOfflineDynamic(bench, 0.01, mcd_base, profile);
+        // Every variant is a spec: cached products resolve through
+        // getOrRun, the one-off runs go straight to runExperiment.
+        mcd::ProfileSpec baseline{.benchmark = bench, .config = config};
+        std::vector<mcd::IntervalProfile> profile =
+            cache.getOrRun(baseline);
+        mcd::SimStats mcd_base = cache.getOrRun(baseline.experimentSpec());
+        mcd::SimStats sync = mcd::runExperiment(
+            {.benchmark = bench,
+             .mode = mcd::ClockMode::Synchronous,
+             .startFreq = 1.0e9,
+             .config = config});
+        mcd::SimStats ad = mcd::runExperiment(
+            {.benchmark = bench,
+             .controller = mcd::attackDecaySpec(mcd::AttackDecayConfig{}),
+             .config = config});
+        mcd::OfflineResult dyn1 = cache.getOrRun(
+            mcd::OfflineSearchSpec{.benchmark = bench,
+                                   .targetDeg = 0.01,
+                                   .mcdBase = mcd_base,
+                                   .profile = profile,
+                                   .config = config});
         mcd::ComparisonMetrics m_ad = mcd::compare(mcd_base, ad);
-        mcd::GlobalResult global =
-            runner.runGlobalAtDegradation(bench, m_ad.perfDegradation);
+        mcd::GlobalResult global;
+        global.freq =
+            mcd::globalMatchedFrequency(config.dvfs, m_ad.perfDegradation);
+        global.stats = cache.getOrRun(
+            mcd::ExperimentSpec{.benchmark = bench,
+                                .mode = mcd::ClockMode::Synchronous,
+                                .startFreq = global.freq,
+                                .config = config});
 
         mcd::TextTable table(bench + " — relative to baseline MCD");
         table.setHeader({"variant", "perf deg", "energy savings",

@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "harness/runner.hh"
+#include "harness/experiment.hh"
 #include "harness/table.hh"
 
 int
@@ -27,7 +27,6 @@ main(int argc, char **argv)
     config.instructions = instructions;
     config.warmup = 0;
     config.intervalInstructions = interval;
-    mcd::Runner runner(config);
     mcd::DvfsModel dvfs(config.dvfs);
 
     std::printf("epic under Attack/Decay: %llu instructions, "
@@ -40,8 +39,10 @@ main(int argc, char **argv)
 
     std::uint64_t insns = 0;
     int printed = 0;
-    mcd::SimStats stats = runner.runAttackDecay(
-        "epic", mcd::AttackDecayConfig{},
+    mcd::SimStats stats = mcd::runExperiment(
+        {.benchmark = "epic",
+         .controller = mcd::attackDecaySpec(mcd::AttackDecayConfig{}),
+         .config = config},
         [&](const mcd::IntervalStats &s) {
             insns += s.instructions;
             if (printed++ % 5 != 0)

@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "harness/runner.hh"
+#include "harness/experiment.hh"
 #include "harness/table.hh"
 #include "workload/scenario_registry.hh"
 
@@ -32,15 +32,21 @@ main(int argc, char **argv)
     mcd::RunnerConfig config;
     config.instructions = instructions;
     config.warmup = instructions / 5;
-    mcd::Runner runner(config);
 
     std::printf("benchmark: %s (%llu instructions after warm-up)\n",
                 bench.c_str(),
                 static_cast<unsigned long long>(instructions));
 
-    mcd::SimStats base = runner.runMcdBaseline(bench);
-    mcd::SimStats ad =
-        runner.runAttackDecay(bench, mcd::AttackDecayConfig{});
+    // The baseline MCD machine is the profiling pass's run; it resolves
+    // through the process-wide artifact cache. The Attack/Decay run is
+    // a direct, uncached simulation.
+    mcd::SimStats base = mcd::ArtifactCache::instance().getOrRun(
+        mcd::ProfileSpec{.benchmark = bench, .config = config}
+            .experimentSpec());
+    mcd::SimStats ad = mcd::runExperiment(
+        {.benchmark = bench,
+         .controller = mcd::attackDecaySpec(mcd::AttackDecayConfig{}),
+         .config = config});
     mcd::ComparisonMetrics m = mcd::compare(base, ad);
 
     mcd::TextTable table("baseline MCD vs Attack/Decay");

@@ -4,8 +4,8 @@
  * controller family plus its numeric parameters, and the
  * `ControllerRegistry` turns specs into `FrequencyController`
  * instances. Adding a controller to the experiment stack is one
- * registration — every spec-driven consumer (Runner, ExperimentSpec,
- * the figure benches, mcd_cli) picks it up with no new plumbing.
+ * registration — every spec-driven consumer (ExperimentSpec, the
+ * figure benches, mcd_cli) picks it up with no new plumbing.
  *
  * Built-in registrations:
  *   none                   uncontrolled (domains stay at the start
@@ -45,10 +45,10 @@ struct ControllerSpec
      * fail ControllerRegistry::check (typos, not extensions). Booleans
      * are 0/1.
      */
-    std::map<std::string, double> params;
+    std::map<std::string, double> params{};
 
     /** Payload for the "schedule" controller (ignored by others). */
-    std::vector<FrequencyVector> schedule;
+    std::vector<FrequencyVector> schedule{};
 
     /**
      * Append an exact, unambiguous serialization (length-prefixed

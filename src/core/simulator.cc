@@ -1,7 +1,6 @@
 #include "core/simulator.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "telemetry/profiler.hh"
@@ -52,8 +51,6 @@ Simulator::Simulator(const SimConfig &config, WorkloadGenerator &workload,
       rename_(int_regs_, fp_regs_),
       state_(config.core.robSize, config.core.lsqSize)
 {
-    const char *per_op = std::getenv("MCD_POWER_PEROP");
-    power_per_op_ = per_op && *per_op && *per_op != '0';
     if (controller_)
         controller_->onStart(clocks_);
     refreshBatchVoltages();
@@ -162,7 +159,7 @@ void
 Simulator::chargeCycleB(DomainId domain)
 {
     ++batch_.cycles[static_cast<std::size_t>(domainIndex(domain))];
-    if (power_per_op_)
+    if (config_.powerPerOp)
         flushPower();
 }
 
@@ -173,7 +170,7 @@ Simulator::chargeAccessB(StructureId structure, DomainId domain,
     batch_.accesses[static_cast<std::size_t>(structure)]
                    [static_cast<std::size_t>(domainIndex(domain))] +=
         count;
-    if (power_per_op_)
+    if (config_.powerPerOp)
         flushPower();
 }
 
@@ -181,7 +178,7 @@ void
 Simulator::chargeMemB()
 {
     ++batch_.memAccesses;
-    if (power_per_op_)
+    if (config_.powerPerOp)
         flushPower();
 }
 

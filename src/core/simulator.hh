@@ -33,8 +33,8 @@
  * structure charges accumulate in integer counters and are applied to
  * the PowerAccountant only when a domain voltage changes, at interval
  * boundaries, at measurement resets, and when stats are read. Setting
- * MCD_POWER_PEROP=1 in the environment flushes after every charge,
- * reproducing the old per-op accounting order (for equivalence tests).
+ * SimConfig::powerPerOp flushes after every charge, reproducing the old
+ * per-op accounting order (for equivalence tests).
  */
 
 #ifndef MCD_CORE_SIMULATOR_HH
@@ -69,6 +69,9 @@ struct SimConfig
     DvfsConfig dvfs{};
     ClockSystemConfig clocks{};
     EnergyConfig energy{};
+    /** Flush the power batch after every charge: the per-op accounting
+     *  order the batched path is tested against. */
+    bool powerPerOp = false;
 };
 
 /** Aggregate results of a run, in absolute units. */
@@ -204,7 +207,6 @@ class Simulator
         std::uint64_t memAccesses = 0;
     };
     mutable PowerBatch batch_;
-    bool power_per_op_ = false; //!< MCD_POWER_PEROP: flush every charge
 
     std::function<void(const IntervalStats &)> interval_observer_;
 

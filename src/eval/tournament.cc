@@ -23,12 +23,17 @@ scoreScenario(const std::string &scenario,
 {
     RunnerConfig config = options.config;
     config.jobs = 1; // parallelism lives at the scenario level
-    Runner runner(config);
+    ArtifactCache &cache = ArtifactCache::instance();
 
-    std::vector<IntervalProfile> profile;
-    SimStats base = runner.runMcdBaseline(scenario, &profile);
-    OfflineResult oracle = runner.runOfflineDynamic(
-        scenario, options.targetDeg, base, profile);
+    ProfileSpec baseline{.benchmark = scenario, .config = config};
+    std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
+    SimStats base = cache.getOrRun(baseline.experimentSpec());
+    OfflineResult oracle = cache.getOrRun(
+        OfflineSearchSpec{.benchmark = scenario,
+                          .targetDeg = options.targetDeg,
+                          .mcdBase = base,
+                          .profile = profile,
+                          .config = config});
 
     // The oracle's per-interval choices, re-derived from its tuned
     // margin. (The search's per-domain refinement can land on a
@@ -54,7 +59,7 @@ scoreScenario(const std::string &scenario,
         spec.controller = entry.spec;
         spec.oracle = schedule;
         spec.config = config;
-        EvalTrace trace = ArtifactCache::instance().getOrRun(spec);
+        EvalTrace trace = cache.getOrRun(spec);
 
         TournamentCell cell;
         cell.scenario = scenario;

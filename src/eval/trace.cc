@@ -90,10 +90,10 @@ EvalTrace
 TraceSpec::build(ArtifactCache &cache) const
 {
     auto instance = ControllerRegistry::instance().create(controller);
-    Runner runner(config);
     EvalTrace trace;
-    trace.stats = runner.runWithOptionalController(
-        benchmark, ClockMode::Mcd, config.dvfs.freqMax, instance.get(),
+    trace.stats = simulate(
+        config, benchmark, ClockMode::Mcd, config.dvfs.freqMax,
+        instance.get(),
         [&](const IntervalStats &stats) {
             TracePoint point;
             point.instructions = stats.instructions;

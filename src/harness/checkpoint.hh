@@ -74,11 +74,11 @@ struct CheckpointSpec
 {
     using Artifact = SimCheckpoint;
 
-    std::string benchmark;
+    std::string benchmark{};
     ClockMode mode = ClockMode::Mcd;
     Hertz startFreq = 0.0; //!< 0 selects config.dvfs.freqMax
     std::uint64_t at = 0;  //!< runTo target in committed instructions
-    RunnerConfig config;   //!< methodology + machine
+    RunnerConfig config{}; //!< methodology + machine
 
     /** The frequency the machine actually starts at. */
     Hertz resolvedStartFreq() const

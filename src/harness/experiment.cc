@@ -1,5 +1,11 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <filesystem>
+#include <iterator>
+
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "harness/artifact.hh"
@@ -16,21 +22,6 @@ using serial::appendDouble;
 using serial::appendI64;
 using serial::appendString;
 using serial::appendU64;
-
-// Methodology + machine bytes come from RunnerConfig::appendTo
-// (harness/runner.cc), the single definition of that layout shared
-// with extension spec types (src/eval/).
-void
-appendRunnerConfig(std::string &out, const RunnerConfig &config)
-{
-    config.appendTo(out);
-}
-
-std::string
-describeConfig(const RunnerConfig &config)
-{
-    return config.describe();
-}
 
 std::string
 describeController(const ControllerSpec &controller)
@@ -52,24 +43,18 @@ describeController(const ControllerSpec &controller)
     return out;
 }
 
-/** Typed re-decode used to validate candidate blobs from the store. */
-template <typename T>
-bool
-validBlob(const std::string &blob)
+// Cached synchronous run at one frequency: the global-DVFS
+// comparators probe synchronous operating points, and the full-speed
+// point in particular is a baseline every figure shares.
+SimStats
+cachedSynchronous(const RunnerConfig &config, const std::string &bench,
+                  Hertz freq)
 {
-    T value;
-    return decodeArtifact(blob, value);
-}
-
-/** Decode a blob the cache already validated (failure is a bug). */
-template <typename T>
-T
-decodeValidated(const std::string &blob)
-{
-    T value;
-    if (!decodeArtifact(blob, value))
-        mcd_panic("validated artifact blob failed to decode");
-    return value;
+    return ArtifactCache::instance().getOrRun(
+        ExperimentSpec{.benchmark = bench,
+                       .mode = ClockMode::Synchronous,
+                       .startFreq = freq,
+                       .config = config});
 }
 
 } // namespace
@@ -85,7 +70,7 @@ ExperimentSpec::cacheKey() const
     appendI64(key, static_cast<std::int64_t>(mode));
     appendDouble(key, resolvedStartFreq());
     controller.appendTo(key);
-    appendRunnerConfig(key, config);
+    config.appendTo(key);
     return key;
 }
 
@@ -103,7 +88,15 @@ ExperimentSpec::describe() const
         "start_freq=%g %s",
         benchmark.c_str(), mode == ClockMode::Mcd ? "mcd" : "sync",
         describeController(controller).c_str(), resolvedStartFreq(),
-        describeConfig(config).c_str());
+        config.describe().c_str());
+}
+
+SimStats
+ExperimentSpec::build(ArtifactCache &cache) const
+{
+    SimStats stats = runExperiment(*this);
+    cache.noteSimulation();
+    return stats;
 }
 
 ExperimentSpec
@@ -123,7 +116,7 @@ ProfileSpec::cacheKey() const
     std::string key;
     appendString(key, "profile");
     appendString(key, benchmark);
-    appendRunnerConfig(key, config);
+    config.appendTo(key);
     return key;
 }
 
@@ -132,7 +125,22 @@ ProfileSpec::describe() const
 {
     return logging_detail::format("type=profile benchmark=%s %s",
                                   benchmark.c_str(),
-                                  describeConfig(config).c_str());
+                                  config.describe().c_str());
+}
+
+std::vector<IntervalProfile>
+ProfileSpec::build(ArtifactCache &cache) const
+{
+    // One profiling simulation yields two artifacts: the interval
+    // profile (this key) and the baseline MCD SimStats, published under
+    // the paired experiment key so requesting both costs one run.
+    ExperimentSpec run = experimentSpec();
+    auto controller = ControllerRegistry::instance().create(run.controller);
+    SimStats stats = simulate(config, benchmark, run.mode,
+                              run.resolvedStartFreq(), controller.get());
+    cache.noteSimulation();
+    cache.publish(run.cacheKey(), encodeArtifact(stats), run.describe());
+    return dynamic_cast<ProfilingController &>(*controller).profile();
 }
 
 std::string
@@ -157,7 +165,7 @@ OfflineSearchSpec::cacheKey() const
                                                                 profile);
     appendU64(key, serial::fnv1a(prof));
     appendU64(key, prof.size());
-    appendRunnerConfig(key, config);
+    config.appendTo(key);
     return key;
 }
 
@@ -168,7 +176,188 @@ OfflineSearchSpec::describe() const
         "type=offline_search benchmark=%s target_deg=%g "
         "profile_intervals=%zu %s",
         benchmark.c_str(), targetDeg, profile.size(),
-        describeConfig(config).c_str());
+        config.describe().c_str());
+}
+
+OfflineResult
+OfflineSearchSpec::build(ArtifactCache &) const
+{
+    DvfsModel dvfs(config.dvfs);
+    double t_base = static_cast<double>(mcdBase.time);
+
+    auto degradation = [&](const SimStats &s) {
+        return (static_cast<double>(s.time) - t_base) / t_base;
+    };
+
+    // Every probe is an independent schedule replay of the same
+    // benchmark; batches fan out across the sweep engine's workers
+    // through the process-wide ArtifactCache, so a margin probed by an
+    // earlier search of the same benchmark (the coarse grids of
+    // Dynamic-1% and Dynamic-5% coincide) replays only once. Probes
+    // deliberately keep this spec's clock seed (no per-job
+    // derivation): degradation is measured against `mcdBase`, which
+    // consumed exactly that clock stream.
+    using Margins = std::array<double, NUM_CONTROLLED>;
+    struct Probe
+    {
+        Margins margins{};
+        SimStats stats{};
+        double deg = 0.0;
+    };
+    auto probeBatch = [&](const std::vector<Margins> &batch) {
+        std::vector<ExperimentSpec> specs;
+        specs.reserve(batch.size());
+        for (const Margins &margins : batch) {
+            ExperimentSpec spec;
+            spec.benchmark = benchmark;
+            spec.controller.name = "schedule";
+            spec.controller.schedule =
+                deriveSchedule(profile, dvfs, margins);
+            spec.config = config;
+            specs.push_back(std::move(spec));
+        }
+        auto stats = runExperiments(specs, config.jobs);
+        std::vector<Probe> probes(batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            probes[i].margins = batch[i];
+            probes[i].stats = stats[i];
+            probes[i].deg = degradation(stats[i]);
+        }
+        return probes;
+    };
+    auto uniform = [](double m) {
+        Margins margins;
+        margins.fill(m);
+        return margins;
+    };
+
+    OfflineResult best;
+    bool have_best = false;
+    // Batches are scanned in index order with strict comparisons, so
+    // the selected optimum never depends on execution schedule.
+    auto consider = [&](const Probe &probe, double shared_margin) {
+        bool feasible = probe.deg <= targetDeg;
+        if (feasible &&
+            (!have_best ||
+             probe.stats.chipEnergy < best.stats.chipEnergy)) {
+            best.stats = probe.stats;
+            best.margin = shared_margin;
+            best.achievedDeg = probe.deg;
+            have_best = true;
+        }
+        return feasible;
+    };
+
+    // Phase 1: coarse grid over the shared margin. Margin is monotone:
+    // larger margin -> higher frequencies -> less degradation, so the
+    // smallest feasible grid point brackets the optimum. The grid
+    // replaces the former 7-iteration binary search with one parallel
+    // batch.
+    constexpr int COARSE = 8;
+    std::vector<Margins> coarse_batch;
+    for (int k = 0; k <= COARSE; ++k)
+        coarse_batch.push_back(uniform(static_cast<double>(k) / COARSE));
+    auto coarse = probeBatch(coarse_batch);
+
+    double shared = 1.0;
+    double bracket_lo = 1.0; // largest infeasible margin below `shared`
+    bool found = false;
+    for (int k = 0; k <= COARSE; ++k) {
+        double margin = static_cast<double>(k) / COARSE;
+        if (consider(coarse[static_cast<std::size_t>(k)], margin) &&
+            !found) {
+            shared = margin;
+            bracket_lo = static_cast<double>(k - 1) / COARSE;
+            found = true;
+        }
+    }
+    if (!found) {
+        // Even margin = 1 (everything at f_max) missed the cap; hold
+        // the least aggressive schedule, mirroring the cap-miss
+        // fallback of the original search.
+        best.stats = coarse.back().stats;
+        best.margin = 1.0;
+        best.achievedDeg = coarse.back().deg;
+        return best;
+    }
+
+    // Phase 2: refine inside the bracketing coarse interval with a
+    // second parallel batch (resolution 1/64, comparable to the old
+    // binary search).
+    if (shared > 0.0) {
+        constexpr int FINE = 8;
+        std::vector<Margins> fine_batch;
+        std::vector<double> fine_margins;
+        for (int j = 1; j < FINE; ++j) {
+            double margin = bracket_lo +
+                (shared - bracket_lo) * static_cast<double>(j) / FINE;
+            fine_margins.push_back(margin);
+            fine_batch.push_back(uniform(margin));
+        }
+        auto fine = probeBatch(fine_batch);
+        for (std::size_t j = 0; j < fine.size(); ++j) {
+            if (consider(fine[j], fine_margins[j])) {
+                shared = std::min(shared, fine_margins[j]);
+            }
+        }
+    }
+
+    // Phase 3: per-domain refinement. A shared margin is gated by the
+    // single most sensitive domain; the original shaker algorithm
+    // distributes slack per domain. Probe every (domain, factor)
+    // candidate independently from the shared point in one parallel
+    // batch, then combine greedily.
+    const double factors[] = {0.5, 0.25, 0.0};
+    std::vector<Margins> domain_batch;
+    for (int slot = 0; slot < NUM_CONTROLLED; ++slot) {
+        for (double factor : factors) {
+            Margins margins = uniform(shared);
+            margins[static_cast<std::size_t>(slot)] = shared * factor;
+            domain_batch.push_back(margins);
+        }
+    }
+    auto domain_probes = probeBatch(domain_batch);
+
+    // Per domain, the deepest factor whose solo probe stays feasible
+    // (scanning shallow to deep, stopping at the first miss, like the
+    // former coordinate descent).
+    std::array<double, NUM_CONTROLLED> best_factor;
+    best_factor.fill(1.0);
+    for (int slot = 0; slot < NUM_CONTROLLED; ++slot) {
+        for (std::size_t f = 0; f < std::size(factors); ++f) {
+            const Probe &probe = domain_probes[
+                static_cast<std::size_t>(slot) * std::size(factors) + f];
+            if (!consider(probe, shared))
+                break;
+            best_factor[static_cast<std::size_t>(slot)] = factors[f];
+        }
+    }
+
+    // Phase 4: combine the per-domain winners cumulatively (domains
+    // interact, so each addition is validated with one run and
+    // reverted if the cap breaks). The first addition needs no new
+    // run: lowering a single domain from the shared point is exactly
+    // its Phase-3 solo probe, already measured and accepted.
+    Margins margins = uniform(shared);
+    bool pristine = true; // margins still equal the shared point
+    for (int slot = 0; slot < NUM_CONTROLLED; ++slot) {
+        auto s = static_cast<std::size_t>(slot);
+        if (best_factor[s] >= 1.0)
+            continue;
+        Margins trial = margins;
+        trial[s] = shared * best_factor[s];
+        if (trial == margins)
+            continue;
+        if (pristine) {
+            margins = trial;
+            pristine = false;
+            continue;
+        }
+        auto probe = probeBatch({trial});
+        if (consider(probe[0], shared))
+            margins = trial;
+    }
+    return best;
 }
 
 std::string
@@ -178,7 +367,7 @@ GlobalMatchSpec::cacheKey() const
     appendString(key, "global_match");
     appendString(key, benchmark);
     appendI64(key, targetTime);
-    appendRunnerConfig(key, config);
+    config.appendTo(key);
     return key;
 }
 
@@ -188,7 +377,58 @@ GlobalMatchSpec::describe() const
     return logging_detail::format(
         "type=global_match benchmark=%s target_time=%lld %s",
         benchmark.c_str(), static_cast<long long>(targetTime),
-        describeConfig(config).c_str());
+        config.describe().c_str());
+}
+
+GlobalResult
+GlobalMatchSpec::build(ArtifactCache &) const
+{
+    const Hertz f_max = config.dvfs.freqMax;
+    const Hertz f_min = config.dvfs.freqMin;
+
+    // Fit T(f) = a + b/f from two calibration runs.
+    Hertz f1 = f_max;
+    Hertz f2 = 0.5 * (f_max + f_min);
+    SimStats s1 = cachedSynchronous(config, benchmark, f1);
+    SimStats s2 = cachedSynchronous(config, benchmark, f2);
+    double t1 = static_cast<double>(s1.time);
+    double t2 = static_cast<double>(s2.time);
+    double b = (t2 - t1) / (1.0 / f2 - 1.0 / f1);
+    double a = t1 - b / f1;
+
+    auto solve = [&](double target) {
+        double denom = target - a;
+        if (denom <= 0.0 || b <= 0.0)
+            return f_max;
+        return std::clamp(b / denom, f_min, f_max);
+    };
+
+    double target = static_cast<double>(targetTime);
+    Hertz f = solve(target);
+    SimStats stats = cachedSynchronous(config, benchmark, f);
+
+    // One secant refinement against the measured point.
+    double t_f = static_cast<double>(stats.time);
+    if (std::abs(t_f - target) / target > 0.002) {
+        // Re-fit b through the new measurement, keeping a.
+        double b2 = (t_f - a) * f;
+        double denom = target - a;
+        if (denom > 0.0 && b2 > 0.0) {
+            Hertz f_refined = std::clamp(b2 / denom, f_min, f_max);
+            SimStats refined = cachedSynchronous(config, benchmark,
+                                                 f_refined);
+            if (std::abs(static_cast<double>(refined.time) - target) <
+                std::abs(t_f - target)) {
+                stats = refined;
+                f = f_refined;
+            }
+        }
+    }
+
+    GlobalResult result;
+    result.stats = stats;
+    result.freq = f;
+    return result;
 }
 
 bool
@@ -202,14 +442,14 @@ validateExperiment(const ExperimentSpec &spec, std::string *error)
 }
 
 SimStats
-runExperiment(const ExperimentSpec &spec)
+runExperiment(const ExperimentSpec &spec,
+              std::function<void(const IntervalStats &)> observer)
 {
     auto controller = ControllerRegistry::instance().create(
         spec.controller);
-    Runner runner(spec.config);
-    return runner.runWithOptionalController(
-        spec.benchmark, spec.mode, spec.resolvedStartFreq(),
-        controller.get());
+    return simulate(spec.config, spec.benchmark, spec.mode,
+                    spec.resolvedStartFreq(), controller.get(),
+                    std::move(observer));
 }
 
 std::vector<SimStats>
@@ -270,12 +510,36 @@ ArtifactCache::fetch(
             slot = std::make_shared<Inflight>();
         flight = slot;
     }
+    // Resolved or thrown: retire the inflight slot so the map stays
+    // bounded by concurrency, not by distinct keys ever requested (and
+    // a failed build leaves nothing behind; call_once lets the next
+    // request retry it). Late waiters each erase-if-same (idempotent);
+    // a fresh request after the erase makes a new slot whose call_once
+    // body hits the memory layer.
+    bool resolved_here = false;
+    auto retire = [&] {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // A caller whose call_once body did not run waited on another
+        // caller's concurrent resolution of this key: an in-flight
+        // join, the cross-client dedup event the serve layer reports.
+        // (Post-resolution requests get a fresh slot and resolve it
+        // themselves against the memory layer, so they never count.)
+        if (!resolved_here)
+            inflight_joins_.inc();
+        auto it = inflight_.find(key);
+        if (it != inflight_.end() && it->second == flight)
+            inflight_.erase(it);
+    };
+    struct OnExit
+    {
+        decltype(retire) &run;
+        ~OnExit() { run(); }
+    } retire_on_exit{retire};
     // Concurrent requests for one key block here while the first
     // caller resolves it; the build never runs under the map lock, so
     // distinct artifacts still fan out in parallel, and nested
     // requests (a search's probes, always for *other* keys) recurse
     // freely.
-    bool resolved_here = false;
     std::call_once(flight->once, [&] {
         resolved_here = true;
         std::string blob;
@@ -297,23 +561,6 @@ ArtifactCache::fetch(
             disk->put(key, blob, provenance);
         computes_.inc();
     });
-    // Resolved: retire the inflight slot so the map stays bounded by
-    // concurrency, not by distinct keys ever requested. Late waiters
-    // each erase-if-same (idempotent); a fresh request after the erase
-    // makes a new slot whose call_once body hits the memory layer.
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // A caller whose call_once body did not run waited on another
-        // caller's concurrent resolution of this key: an in-flight
-        // join, the cross-client dedup event the serve layer reports.
-        // (Post-resolution requests get a fresh slot and resolve it
-        // themselves against the memory layer, so they never count.)
-        if (!resolved_here)
-            inflight_joins_.inc();
-        auto it = inflight_.find(key);
-        if (it != inflight_.end() && it->second == flight)
-            inflight_.erase(it);
-    }
     std::string blob;
     if (!memory_.get(key, blob))
         mcd_panic("artifact vanished from the memory layer");
@@ -344,84 +591,6 @@ void
 ArtifactCache::noteInstructions(std::uint64_t count)
 {
     sim_insns_.inc(count);
-}
-
-SimStats
-ArtifactCache::getOrRun(const ExperimentSpec &spec)
-{
-    attachDiskStore(spec.config.store);
-    std::string blob = fetch(
-        spec.cacheKey(), validBlob<SimStats>,
-        [&] {
-            SimStats stats = runExperiment(spec);
-            noteSimulation();
-            return encodeArtifact(stats);
-        },
-        spec.describe());
-    return decodeValidated<SimStats>(blob);
-}
-
-std::vector<IntervalProfile>
-ArtifactCache::getOrRun(const ProfileSpec &spec)
-{
-    attachDiskStore(spec.config.store);
-    std::string blob = fetch(
-        spec.cacheKey(), validBlob<std::vector<IntervalProfile>>,
-        [&] {
-            // One profiling simulation yields two artifacts: the
-            // interval profile (this key) and the baseline MCD
-            // SimStats, published under the paired experiment key so
-            // requesting both costs one run.
-            ExperimentSpec run = spec.experimentSpec();
-            auto controller =
-                ControllerRegistry::instance().create(run.controller);
-            Runner runner(spec.config);
-            SimStats stats = runner.runWithOptionalController(
-                spec.benchmark, run.mode, run.resolvedStartFreq(),
-                controller.get());
-            noteSimulation();
-            publish(run.cacheKey(), encodeArtifact(stats),
-                    run.describe());
-            return encodeArtifact(
-                dynamic_cast<ProfilingController &>(*controller)
-                    .profile());
-        },
-        spec.describe());
-    return decodeValidated<std::vector<IntervalProfile>>(blob);
-}
-
-OfflineResult
-ArtifactCache::getOrRun(const OfflineSearchSpec &spec)
-{
-    attachDiskStore(spec.config.store);
-    std::string blob = fetch(
-        spec.cacheKey(), validBlob<OfflineResult>,
-        [&] {
-            // The search itself runs no simulation directly: its grid
-            // probes are nested ExperimentSpec requests that memoize
-            // (and count) themselves.
-            Runner runner(spec.config);
-            return encodeArtifact(runner.searchOfflineDynamic(
-                spec.benchmark, spec.targetDeg, spec.mcdBase,
-                spec.profile));
-        },
-        spec.describe());
-    return decodeValidated<OfflineResult>(blob);
-}
-
-GlobalResult
-ArtifactCache::getOrRun(const GlobalMatchSpec &spec)
-{
-    attachDiskStore(spec.config.store);
-    std::string blob = fetch(
-        spec.cacheKey(), validBlob<GlobalResult>,
-        [&] {
-            Runner runner(spec.config);
-            return encodeArtifact(runner.searchGlobalMatching(
-                spec.benchmark, spec.targetTime));
-        },
-        spec.describe());
-    return decodeValidated<GlobalResult>(blob);
 }
 
 void
@@ -487,7 +656,10 @@ ArtifactCache::cachedHint(const std::string &key)
         std::lock_guard<std::mutex> lock(mutex_);
         disk = disk_;
     }
-    return disk && disk->get(key, blob);
+    // Presence only: no read, no checksum (getOrRun validates).
+    std::error_code ec;
+    return disk &&
+           std::filesystem::is_regular_file(disk->pathFor(key), ec);
 }
 
 std::uint64_t

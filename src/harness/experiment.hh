@@ -1,8 +1,10 @@
 /**
  * @file
- * The declarative experiment layer. A typed request spec fully
- * describes one experiment product and the layer resolves it through
- * a process-wide, pluggable artifact cache:
+ * The declarative experiment layer, and the one API for running an
+ * experiment. A typed request spec fully describes one experiment
+ * product; `ArtifactCache::getOrRun(spec)` resolves it through a
+ * process-wide, layered artifact cache, and `runExperiment(spec)` runs
+ * an ExperimentSpec uncached:
  *
  *   ExperimentSpec    -> SimStats                    (one simulation)
  *   ProfileSpec       -> std::vector<IntervalProfile> (the off-line
@@ -11,6 +13,10 @@
  *   OfflineSearchSpec -> OfflineResult   (a whole Dynamic-X% search)
  *   GlobalMatchSpec   -> GlobalResult    (a time-matched global-DVFS
  *                        calibration search)
+ *
+ * Every spec declares its `Artifact` type and computes it on a miss
+ * with `build(ArtifactCache &)`, the same contract extension specs
+ * (harness/checkpoint.hh, eval/trace.hh) follow.
  *
  * Each spec has an exact, namespaced `cacheKey()` covering every
  * field that can influence the result (raw IEEE-754 bytes for
@@ -55,14 +61,18 @@
 namespace mcd
 {
 
+class ArtifactCache;
+
 /** Everything needed to run (or memoize) one simulation. */
 struct ExperimentSpec
 {
-    std::string benchmark;          //!< any registered scenario name
+    using Artifact = SimStats;
+
+    std::string benchmark{};        //!< any registered scenario name
     ClockMode mode = ClockMode::Mcd;
     Hertz startFreq = 0.0;          //!< 0 selects config.dvfs.freqMax
-    ControllerSpec controller;       //!< default: "none" (uncontrolled)
-    RunnerConfig config;             //!< methodology + machine
+    ControllerSpec controller{};    //!< default: "none" (uncontrolled)
+    RunnerConfig config{};          //!< methodology + machine
 
     /** The frequency the machine actually starts at. */
     Hertz resolvedStartFreq() const
@@ -78,6 +88,9 @@ struct ExperimentSpec
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
+
+    /** Simulate (runExperiment), counting one simulation. */
+    SimStats build(ArtifactCache &cache) const;
 };
 
 /**
@@ -85,12 +98,14 @@ struct ExperimentSpec
  * profiling controller, per-interval activity recorded. Its artifact
  * is the interval profile; the run's SimStats are published under the
  * paired `experimentSpec()` key as a by-product, so requesting both
- * (as Runner::runMcdBaseline does) costs one simulation.
+ * (the profile first, then its experimentSpec()) costs one simulation.
  */
 struct ProfileSpec
 {
-    std::string benchmark;
-    RunnerConfig config;
+    using Artifact = std::vector<IntervalProfile>;
+
+    std::string benchmark{};
+    RunnerConfig config{};
 
     /** The ExperimentSpec of the same run (its SimStats artifact). */
     ExperimentSpec experimentSpec() const;
@@ -100,6 +115,10 @@ struct ProfileSpec
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
+
+    /** Run the profiling pass and publish its SimStats into `cache`
+     *  under experimentSpec()'s key. */
+    std::vector<IntervalProfile> build(ArtifactCache &cache) const;
 };
 
 /**
@@ -114,31 +133,58 @@ struct ProfileSpec
  */
 struct OfflineSearchSpec
 {
-    std::string benchmark;
+    using Artifact = OfflineResult;
+
+    std::string benchmark{};
     double targetDeg = 0.0;              //!< degradation cap
     SimStats mcdBase{};                  //!< baseline MCD reference
-    std::vector<IntervalProfile> profile; //!< profiling-pass output
-    RunnerConfig config;
+    std::vector<IntervalProfile> profile{}; //!< profiling-pass output
+    RunnerConfig config{};
 
     /** Digest-keyed artifact key (namespace "offline_search/2"). */
     std::string cacheKey() const;
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
+
+    /**
+     * The search: tune the schedule margin so the replayed run
+     * degrades by at most `targetDeg` over `mcdBase`, with the least
+     * chip energy. Parallel grid batches — coarse grid, bracketed
+     * refinement, then per-domain refinement — fan across
+     * `config.jobs` workers. Every probe is an ExperimentSpec resolved
+     * through the process-wide cache, so probes shared between
+     * searches (the coarse grids of Dynamic-1% and Dynamic-5%)
+     * simulate once and persist.
+     */
+    OfflineResult build(ArtifactCache &cache) const;
 };
 
-/** A time-matched global-DVFS calibration search (ablation driver). */
+/**
+ * A time-matched global-DVFS calibration search (ablation driver):
+ * the single synchronous frequency whose measured run time matches
+ * `targetTime`, from a T(f) = a + b/f model fitted to two calibration
+ * runs plus one secant refinement. Memory-bound applications barely
+ * slow down with frequency, so this interpretation lets global DVFS
+ * cut frequency much deeper than globalMatchedFrequency().
+ */
 struct GlobalMatchSpec
 {
-    std::string benchmark;
+    using Artifact = GlobalResult;
+
+    std::string benchmark{};
     Tick targetTime = 0; //!< run time the search matches
-    RunnerConfig config;
+    RunnerConfig config{};
 
     /** Exact, collision-free key (namespace "global_match"). */
     std::string cacheKey() const;
 
     /** One-line human-readable description (provenance sidecars). */
     std::string describe() const;
+
+    /** The search; its synchronous probe runs are ExperimentSpecs
+     *  resolved through the process-wide cache. */
+    GlobalResult build(ArtifactCache &cache) const;
 };
 
 /** The one check every edge makes of a user-built spec before any
@@ -146,8 +192,11 @@ struct GlobalMatchSpec
  *  resolves and the controller passes check(). */
 bool validateExperiment(const ExperimentSpec &spec, std::string *error);
 
-/** Run one ExperimentSpec directly, bypassing the cache. */
-SimStats runExperiment(const ExperimentSpec &spec);
+/** Run one ExperimentSpec directly, bypassing the cache; `observer`,
+ *  when set, receives every measured interval (simulate()). */
+SimStats runExperiment(
+    const ExperimentSpec &spec,
+    std::function<void(const IntervalStats &)> observer = {});
 
 /**
  * Run a batch of specs fanned across ParallelSweep workers (`jobs` as
@@ -170,9 +219,10 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int jobs = 0);
  * `lookups() - hits()` artifacts were computed, of which
  * `simulationsRun()` required running the simulator.
  *
- * `instance()` is the process-wide cache every Runner and bench
- * consumer resolves through; independently-constructed instances are
- * for tests (e.g. simulating a cold process against a warm DiskStore).
+ * `instance()` is the process-wide cache every spec's nested requests
+ * and every bench consumer resolve through; independently-constructed
+ * instances are for tests (e.g. simulating a cold process against a
+ * warm DiskStore).
  */
 class ArtifactCache
 {
@@ -181,21 +231,11 @@ class ArtifactCache
 
     static ArtifactCache &instance();
 
-    /** The memoized stats for `spec`, simulating on first request. */
-    SimStats getOrRun(const ExperimentSpec &spec);
-
-    /** The memoized profiling pass (publishes the paired SimStats). */
-    std::vector<IntervalProfile> getOrRun(const ProfileSpec &spec);
-
-    /** The memoized off-line Dynamic-X% search result. */
-    OfflineResult getOrRun(const OfflineSearchSpec &spec);
-
-    /** The memoized time-matched global-DVFS search result. */
-    GlobalResult getOrRun(const GlobalMatchSpec &spec);
-
     /**
-     * Generic resolution for extension artifact types (e.g. the
-     * stress lab's `TraceSpec`, src/eval/trace.hh). `Spec` provides
+     * The memoized artifact of `spec`, computed on first request —
+     * the one resolution path for every experiment product (the four
+     * specs above, `CheckpointSpec`, the stress lab's `TraceSpec`).
+     * `Spec` provides
      *   using Artifact = ...;           // has ArtifactTraits
      *   std::string cacheKey() const;   // exact, namespaced key
      *   std::string describe() const;   // provenance sidecar line
@@ -203,9 +243,9 @@ class ArtifactCache
      *   Artifact build(ArtifactCache &) const;  // compute on a miss
      *                                   // (call noteSimulation per
      *                                   //  simulator execution)
-     * New experiment products plug into the layered store — including
-     * the warm-store zero-simulation replay guarantee — with no
-     * harness changes.
+     * A new experiment product plugs into the layered store —
+     * including the warm-store zero-simulation replay guarantee —
+     * with no harness changes.
      */
     template <typename Spec>
     typename Spec::Artifact
@@ -230,9 +270,14 @@ class ArtifactCache
     /** Count one simulator execution (build callbacks call this). */
     void noteSimulation();
 
+    /** Store a by-product blob under `key` in both layers (a build
+     *  that yields a second artifact, like ProfileSpec's SimStats). */
+    void publish(const std::string &key, const std::string &blob,
+                 const std::string &provenance);
+
     /**
-     * Count `count` simulated (committed) instructions. The runner and
-     * checkpoint builders report how far each simulator actually
+     * Count `count` simulated (committed) instructions. simulate() and
+     * the checkpoint builder report how far each simulator actually
      * stepped, so `simulatedInstructions()` measures the real
      * simulation work a process performed — the counter the
      * checkpoint-resume CI job asserts shrinks when a warm store
@@ -295,9 +340,9 @@ class ArtifactCache
     /**
      * Keys currently being computed. Transiently positive while a
      * fetch is in flight and back to zero once every request resolves
-     * — the regression surface for the historical leak where resolved
-     * flights were never erased and the map grew per unique key
-     * forever.
+     * or throws — the regression surface for the historical leaks
+     * where resolved flights were never erased (the map grew per
+     * unique key forever) and failed ones stayed behind.
      */
     std::size_t inflightEntries() const;
 
@@ -328,18 +373,15 @@ class ArtifactCache
      * the disk layer's sidecar text). `validate` re-decodes a
      * candidate blob so corrupt or stale-version disk entries read as
      * misses. Returns a blob that passed `validate`. The key's
-     * inflight slot is erased once resolved — later requests re-enter
-     * and hit the memory layer instead of an ever-growing map.
+     * inflight slot is erased once resolved or failed — later
+     * requests re-enter and hit the memory layer (or retry the build)
+     * instead of an ever-growing map.
      */
     std::string
     fetch(const std::string &key,
           const std::function<bool(const std::string &)> &validate,
           const std::function<std::string()> &build,
           const std::string &provenance);
-
-    /** Store a by-product blob under `key` in both layers. */
-    void publish(const std::string &key, const std::string &blob,
-                 const std::string &provenance);
 
     /** Publish this instance's counters in the process StatRegistry
      *  under `store.*` / `sim.*` — instance() does this once, so

@@ -1,16 +1,11 @@
 #include "harness/runner.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <iterator>
 
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "harness/checkpoint.hh"
-#include "harness/experiment.hh"
-#include "harness/parallel_sweep.hh"
 
 namespace mcd
 {
@@ -166,19 +161,15 @@ makeSimConfig(const RunnerConfig &config, ClockMode mode,
     return sim_config;
 }
 
-Runner::Runner(const RunnerConfig &config)
-    : config_(config)
-{
-}
-
 SimStats
-Runner::runWithOptionalController(
-    const std::string &bench, ClockMode mode, Hertz start_freq,
-    FrequencyController *controller,
-    std::function<void(const IntervalStats &)> observer)
+simulate(const RunnerConfig &config, const std::string &bench,
+         ClockMode mode, Hertz start_freq,
+         FrequencyController *controller,
+         std::function<void(const IntervalStats &)> observer)
 {
-    auto workload = BenchmarkFactory::create(bench, horizon());
-    SimConfig sim_config = makeSimConfig(config_, mode, start_freq);
+    auto workload = BenchmarkFactory::create(
+        bench, config.instructions + config.warmup);
+    SimConfig sim_config = makeSimConfig(config, mode, start_freq);
 
     // Warm-up runs uncontrolled (methodology v2): the pre-measurement
     // machine state is controller-independent, so a checkpoint of it
@@ -186,389 +177,41 @@ Runner::runWithOptionalController(
     Simulator sim(sim_config, *workload, nullptr);
     std::uint64_t stepped_from = 0;
 
-    if (config_.warmup > 0) {
-        if (config_.checkpointEvery > 0) {
+    if (config.warmup > 0) {
+        if (config.checkpointEvery > 0) {
             // Resolve the warm-up prefix through the checkpoint
             // artifact; by the run-composition contract the restored
             // machine is bit-identical to having simulated it here.
-            CheckpointSpec spec;
-            spec.benchmark = bench;
-            spec.mode = mode;
-            spec.startFreq = start_freq;
-            spec.at = config_.warmup;
-            spec.config = config_;
-            SimCheckpoint ckpt =
-                ArtifactCache::instance().getOrRun(spec);
+            SimCheckpoint ckpt = ArtifactCache::instance().getOrRun(
+                CheckpointSpec{.benchmark = bench,
+                               .mode = mode,
+                               .startFreq = start_freq,
+                               .at = config.warmup,
+                               .config = config});
             serial::Reader in(ckpt.state);
             if (!sim.restoreCheckpoint(in))
                 mcd_panic("validated checkpoint artifact failed to "
                           "restore");
             stepped_from = sim.committed();
         } else {
-            sim.run(config_.warmup);
+            sim.run(config.warmup);
         }
         sim.resetMeasurement();
     }
     sim.engageController(controller);
     if (observer)
         sim.setIntervalObserver(std::move(observer));
-    sim.run(config_.instructions);
+    sim.run(config.instructions);
     ArtifactCache::instance().noteInstructions(sim.committed() -
                                                stepped_from);
     return sim.stats();
 }
 
-SimStats
-Runner::runSynchronous(const std::string &bench, Hertz freq)
-{
-    auto controller = ControllerRegistry::instance().create(
-        ControllerSpec{}); // "none": uncontrolled
-    return runWithOptionalController(bench, ClockMode::Synchronous,
-                                     freq, controller.get(), {});
-}
-
-SimStats
-Runner::runMcdBaseline(const std::string &bench,
-                       std::vector<IntervalProfile> *profile)
-{
-    // Both products are artifacts of one profiling run: the
-    // ProfileSpec resolution publishes the paired SimStats, so the
-    // experimentSpec() request below never simulates a second time.
-    ProfileSpec spec;
-    spec.benchmark = bench;
-    spec.config = config_;
-    if (profile)
-        *profile = ArtifactCache::instance().getOrRun(spec);
-    return ArtifactCache::instance().getOrRun(spec.experimentSpec());
-}
-
-SimStats
-Runner::runAttackDecay(
-    const std::string &bench, const AttackDecayConfig &adc,
-    std::function<void(const IntervalStats &)> observer)
-{
-    auto controller =
-        ControllerRegistry::instance().create(attackDecaySpec(adc));
-    return runWithOptionalController(bench, ClockMode::Mcd,
-                                     config_.dvfs.freqMax,
-                                     controller.get(),
-                                     std::move(observer));
-}
-
-SimStats
-Runner::runSchedule(const std::string &bench,
-                    const std::vector<FrequencyVector> &schedule)
-{
-    ControllerSpec spec;
-    spec.name = "schedule";
-    spec.schedule = schedule;
-    auto controller = ControllerRegistry::instance().create(spec);
-    return runWithOptionalController(bench, ClockMode::Mcd,
-                                     config_.dvfs.freqMax,
-                                     controller.get(), {});
-}
-
-SimStats
-Runner::runWithController(
-    const std::string &bench, ClockMode mode, Hertz start_freq,
-    FrequencyController &controller,
-    std::function<void(const IntervalStats &)> observer)
-{
-    return runWithOptionalController(bench, mode, start_freq,
-                                     &controller, std::move(observer));
-}
-
-OfflineResult
-Runner::runOfflineDynamic(const std::string &bench, double target_deg,
-                          const SimStats &mcd_base,
-                          const std::vector<IntervalProfile> &profile)
-{
-    OfflineSearchSpec spec;
-    spec.benchmark = bench;
-    spec.targetDeg = target_deg;
-    spec.mcdBase = mcd_base;
-    spec.profile = profile;
-    spec.config = config_;
-    return ArtifactCache::instance().getOrRun(spec);
-}
-
-OfflineResult
-Runner::searchOfflineDynamic(
-    const std::string &bench, double target_deg,
-    const SimStats &mcd_base,
-    const std::vector<IntervalProfile> &profile)
-{
-    DvfsModel dvfs(config_.dvfs);
-    double t_base = static_cast<double>(mcd_base.time);
-
-    auto degradation = [&](const SimStats &s) {
-        return (static_cast<double>(s.time) - t_base) / t_base;
-    };
-
-    // Every probe is an independent schedule replay of the same
-    // benchmark; batches fan out across the sweep engine's workers
-    // through the process-wide ArtifactCache, so a margin probed by an
-    // earlier search of the same benchmark (the coarse grids of
-    // Dynamic-1% and Dynamic-5% coincide) replays only once. Probes
-    // deliberately keep this runner's clock seed (no per-job
-    // derivation): degradation is measured against `mcd_base`, which
-    // consumed exactly that clock stream.
-    using Margins = std::array<double, NUM_CONTROLLED>;
-    struct Probe
-    {
-        Margins margins{};
-        SimStats stats{};
-        double deg = 0.0;
-    };
-    auto probeBatch = [&](const std::vector<Margins> &batch) {
-        std::vector<ExperimentSpec> specs;
-        specs.reserve(batch.size());
-        for (const Margins &margins : batch) {
-            ExperimentSpec spec;
-            spec.benchmark = bench;
-            spec.controller.name = "schedule";
-            spec.controller.schedule =
-                deriveSchedule(profile, dvfs, margins);
-            spec.config = config_;
-            specs.push_back(std::move(spec));
-        }
-        auto stats = runExperiments(specs, config_.jobs);
-        std::vector<Probe> probes(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            probes[i].margins = batch[i];
-            probes[i].stats = stats[i];
-            probes[i].deg = degradation(stats[i]);
-        }
-        return probes;
-    };
-    auto uniform = [](double m) {
-        Margins margins;
-        margins.fill(m);
-        return margins;
-    };
-
-    OfflineResult best;
-    bool have_best = false;
-    // Batches are scanned in index order with strict comparisons, so
-    // the selected optimum never depends on execution schedule.
-    auto consider = [&](const Probe &probe, double shared_margin) {
-        bool feasible = probe.deg <= target_deg;
-        if (feasible &&
-            (!have_best ||
-             probe.stats.chipEnergy < best.stats.chipEnergy)) {
-            best.stats = probe.stats;
-            best.margin = shared_margin;
-            best.achievedDeg = probe.deg;
-            have_best = true;
-        }
-        return feasible;
-    };
-
-    // Phase 1: coarse grid over the shared margin. Margin is monotone:
-    // larger margin -> higher frequencies -> less degradation, so the
-    // smallest feasible grid point brackets the optimum. The grid
-    // replaces the former 7-iteration binary search with one parallel
-    // batch.
-    constexpr int COARSE = 8;
-    std::vector<Margins> coarse_batch;
-    for (int k = 0; k <= COARSE; ++k)
-        coarse_batch.push_back(uniform(static_cast<double>(k) / COARSE));
-    auto coarse = probeBatch(coarse_batch);
-
-    double shared = 1.0;
-    double bracket_lo = 1.0; // largest infeasible margin below `shared`
-    bool found = false;
-    for (int k = 0; k <= COARSE; ++k) {
-        double margin = static_cast<double>(k) / COARSE;
-        if (consider(coarse[static_cast<std::size_t>(k)], margin) &&
-            !found) {
-            shared = margin;
-            bracket_lo = static_cast<double>(k - 1) / COARSE;
-            found = true;
-        }
-    }
-    if (!found) {
-        // Even margin = 1 (everything at f_max) missed the cap; hold
-        // the least aggressive schedule, mirroring the cap-miss
-        // fallback of the original search.
-        best.stats = coarse.back().stats;
-        best.margin = 1.0;
-        best.achievedDeg = coarse.back().deg;
-        return best;
-    }
-
-    // Phase 2: refine inside the bracketing coarse interval with a
-    // second parallel batch (resolution 1/64, comparable to the old
-    // binary search).
-    if (shared > 0.0) {
-        constexpr int FINE = 8;
-        std::vector<Margins> fine_batch;
-        std::vector<double> fine_margins;
-        for (int j = 1; j < FINE; ++j) {
-            double margin = bracket_lo +
-                (shared - bracket_lo) * static_cast<double>(j) / FINE;
-            fine_margins.push_back(margin);
-            fine_batch.push_back(uniform(margin));
-        }
-        auto fine = probeBatch(fine_batch);
-        for (std::size_t j = 0; j < fine.size(); ++j) {
-            if (consider(fine[j], fine_margins[j])) {
-                shared = std::min(shared, fine_margins[j]);
-            }
-        }
-    }
-
-    // Phase 3: per-domain refinement. A shared margin is gated by the
-    // single most sensitive domain; the original shaker algorithm
-    // distributes slack per domain. Probe every (domain, factor)
-    // candidate independently from the shared point in one parallel
-    // batch, then combine greedily.
-    const double factors[] = {0.5, 0.25, 0.0};
-    std::vector<Margins> domain_batch;
-    for (int slot = 0; slot < NUM_CONTROLLED; ++slot) {
-        for (double factor : factors) {
-            Margins margins = uniform(shared);
-            margins[static_cast<std::size_t>(slot)] = shared * factor;
-            domain_batch.push_back(margins);
-        }
-    }
-    auto domain_probes = probeBatch(domain_batch);
-
-    // Per domain, the deepest factor whose solo probe stays feasible
-    // (scanning shallow to deep, stopping at the first miss, like the
-    // former coordinate descent).
-    std::array<double, NUM_CONTROLLED> best_factor;
-    best_factor.fill(1.0);
-    for (int slot = 0; slot < NUM_CONTROLLED; ++slot) {
-        for (std::size_t f = 0; f < std::size(factors); ++f) {
-            const Probe &probe = domain_probes[
-                static_cast<std::size_t>(slot) * std::size(factors) + f];
-            if (!consider(probe, shared))
-                break;
-            best_factor[static_cast<std::size_t>(slot)] = factors[f];
-        }
-    }
-
-    // Phase 4: combine the per-domain winners cumulatively (domains
-    // interact, so each addition is validated with one run and
-    // reverted if the cap breaks). The first addition needs no new
-    // run: lowering a single domain from the shared point is exactly
-    // its Phase-3 solo probe, already measured and accepted.
-    Margins margins = uniform(shared);
-    bool pristine = true; // margins still equal the shared point
-    for (int slot = 0; slot < NUM_CONTROLLED; ++slot) {
-        auto s = static_cast<std::size_t>(slot);
-        if (best_factor[s] >= 1.0)
-            continue;
-        Margins trial = margins;
-        trial[s] = shared * best_factor[s];
-        if (trial == margins)
-            continue;
-        if (pristine) {
-            margins = trial;
-            pristine = false;
-            continue;
-        }
-        auto probe = probeBatch({trial});
-        if (consider(probe[0], shared))
-            margins = trial;
-    }
-    return best;
-}
-
-// Cached synchronous run at one frequency: the global-DVFS
-// comparators probe synchronous operating points, and the full-speed
-// point in particular is a baseline every figure shares.
-static SimStats
-cachedSynchronous(const RunnerConfig &config, const std::string &bench,
-                  Hertz freq)
-{
-    ExperimentSpec spec;
-    spec.benchmark = bench;
-    spec.mode = ClockMode::Synchronous;
-    spec.startFreq = freq;
-    spec.config = config;
-    return ArtifactCache::instance().getOrRun(spec);
-}
-
 Hertz
-Runner::globalMatchedFrequency(double target_deg) const
+globalMatchedFrequency(const DvfsConfig &dvfs, double target_deg)
 {
-    return std::clamp(
-        config_.dvfs.freqMax / (1.0 + std::max(0.0, target_deg)),
-        config_.dvfs.freqMin, config_.dvfs.freqMax);
-}
-
-GlobalResult
-Runner::runGlobalAtDegradation(const std::string &bench,
-                               double target_deg)
-{
-    GlobalResult result;
-    result.freq = globalMatchedFrequency(target_deg);
-    result.stats = cachedSynchronous(config_, bench, result.freq);
-    return result;
-}
-
-GlobalResult
-Runner::runGlobalMatching(const std::string &bench, Tick target_time)
-{
-    GlobalMatchSpec spec;
-    spec.benchmark = bench;
-    spec.targetTime = target_time;
-    spec.config = config_;
-    return ArtifactCache::instance().getOrRun(spec);
-}
-
-GlobalResult
-Runner::searchGlobalMatching(const std::string &bench,
-                             Tick target_time)
-{
-    const Hertz f_max = config_.dvfs.freqMax;
-    const Hertz f_min = config_.dvfs.freqMin;
-
-    // Fit T(f) = a + b/f from two calibration runs.
-    Hertz f1 = f_max;
-    Hertz f2 = 0.5 * (f_max + f_min);
-    SimStats s1 = cachedSynchronous(config_, bench, f1);
-    SimStats s2 = cachedSynchronous(config_, bench, f2);
-    double t1 = static_cast<double>(s1.time);
-    double t2 = static_cast<double>(s2.time);
-    double b = (t2 - t1) / (1.0 / f2 - 1.0 / f1);
-    double a = t1 - b / f1;
-
-    auto solve = [&](double target) {
-        double denom = target - a;
-        if (denom <= 0.0 || b <= 0.0)
-            return f_max;
-        return std::clamp(b / denom, f_min, f_max);
-    };
-
-    double target = static_cast<double>(target_time);
-    Hertz f = solve(target);
-    SimStats stats = cachedSynchronous(config_, bench, f);
-
-    // One secant refinement against the measured point.
-    double t_f = static_cast<double>(stats.time);
-    if (std::abs(t_f - target) / target > 0.002) {
-        // Re-fit b through the new measurement, keeping a.
-        double b2 = (t_f - a) * f;
-        double denom = target - a;
-        if (denom > 0.0 && b2 > 0.0) {
-            Hertz f_refined = std::clamp(b2 / denom, f_min, f_max);
-            SimStats refined = cachedSynchronous(config_, bench,
-                                                 f_refined);
-            if (std::abs(static_cast<double>(refined.time) - target) <
-                std::abs(t_f - target)) {
-                stats = refined;
-                f = f_refined;
-            }
-        }
-    }
-
-    GlobalResult result;
-    result.stats = stats;
-    result.freq = f;
-    return result;
+    return std::clamp(dvfs.freqMax / (1.0 + std::max(0.0, target_deg)),
+                      dvfs.freqMin, dvfs.freqMax);
 }
 
 } // namespace mcd

@@ -1,9 +1,8 @@
 /**
  * @file
- * Experiment runner: canonical machine configurations (fully synchronous
- * reference, baseline MCD, Attack/Decay MCD, off-line Dynamic-X% MCD,
- * globally scaled synchronous) and the search drivers that tune the
- * off-line margin and the global-DVFS frequency to a performance target.
+ * The shared measurement methodology (RunnerConfig), the machine it
+ * describes (makeSimConfig), and the one simulation kernel (simulate)
+ * under every experiment product of harness/experiment.hh.
  *
  * Every variant of one benchmark consumes the identical micro-op stream
  * (same spec, seed, and horizon) and identical clock seeds, so measured
@@ -112,8 +111,8 @@ struct RunnerConfig
 
 /**
  * The machine a RunnerConfig describes, assembled for one (mode,
- * start-frequency) operating point. Single definition shared by the
- * runner's execution path and the checkpoint builder
+ * start-frequency) operating point. Single definition shared by
+ * simulate() and the checkpoint builder
  * (harness/checkpoint.cc) so a restored snapshot always meets the
  * exact machine that produced it.
  */
@@ -136,145 +135,34 @@ struct GlobalResult
 };
 
 /**
- * Runs one benchmark under the canonical machine variants. Every
- * variant method is a thin wrapper over one spec-driven path: it
- * builds a ControllerSpec, instantiates it through the
- * ControllerRegistry, and executes under the shared methodology
- * (runWithOptionalController). The declarative layer on top is
- * harness/experiment.hh.
+ * The one simulation kernel every experiment product runs through: run
+ * `bench` under the methodology and machine of `config`, in clock
+ * `mode` starting at `start_freq`, with `controller` (null =
+ * uncontrolled). `observer`, when set, receives every measured
+ * interval.
+ *
+ * Methodology v2: the warm-up prefix always runs uncontrolled
+ * (domains at the start frequency); the controller and the interval
+ * observer engage at the measurement boundary, right after
+ * `resetMeasurement()`. The warm-up machine state is therefore a pure
+ * function of (benchmark, mode, start frequency, config) — shared by
+ * every controller — which is what lets `checkpointEvery` fast-forward
+ * all of a figure's variants from one stored snapshot.
  */
-class Runner
-{
-  public:
-    explicit Runner(const RunnerConfig &config = RunnerConfig{});
+SimStats simulate(const RunnerConfig &config, const std::string &bench,
+                  ClockMode mode, Hertz start_freq,
+                  FrequencyController *controller,
+                  std::function<void(const IntervalStats &)> observer = {});
 
-    const RunnerConfig &config() const { return config_; }
-
-    /**
-     * The shared spec-driven execution path: run `bench` under the
-     * standard methodology with a registry-created (possibly null =
-     * uncontrolled) controller. All variant methods and the
-     * ExperimentSpec executor funnel through here.
-     *
-     * Methodology v2: the warm-up prefix always runs uncontrolled
-     * (domains at the start frequency); the controller and the
-     * interval observer engage at the measurement boundary, right
-     * after `resetMeasurement()`. The warm-up machine state is
-     * therefore a pure function of (benchmark, mode, start frequency,
-     * config) — shared by every controller — which is what lets
-     * `checkpointEvery` fast-forward all of a figure's variants from
-     * one stored snapshot.
-     */
-    SimStats runWithOptionalController(
-        const std::string &bench, ClockMode mode, Hertz start_freq,
-        FrequencyController *controller,
-        std::function<void(const IntervalStats &)> observer = {});
-
-    /** Fully synchronous processor at a single global frequency. */
-    SimStats runSynchronous(const std::string &bench, Hertz freq);
-
-    /**
-     * Baseline MCD processor (all domains at maximum). Optionally
-     * records the per-interval profile used by the off-line algorithm.
-     * Both products — the SimStats and the profile — resolve through
-     * the artifact store (ExperimentSpec / ProfileSpec), so a warm
-     * store serves them with zero simulations and a cold one pays a
-     * single profiling run for the pair.
-     */
-    SimStats runMcdBaseline(const std::string &bench,
-                            std::vector<IntervalProfile> *profile =
-                                nullptr);
-
-    /**
-     * MCD processor under the Attack/Decay controller. Optionally
-     * streams per-interval samples to `observer` (figures 2/3).
-     */
-    SimStats runAttackDecay(
-        const std::string &bench, const AttackDecayConfig &adc,
-        std::function<void(const IntervalStats &)> observer = {});
-
-    /** MCD processor replaying an off-line frequency schedule. */
-    SimStats runSchedule(const std::string &bench,
-                         const std::vector<FrequencyVector> &schedule);
-
-    /**
-     * Escape hatch for custom controllers (extensions, ablations):
-     * run the benchmark under the standard methodology with a caller-
-     * supplied controller.
-     */
-    SimStats runWithController(
-        const std::string &bench, ClockMode mode, Hertz start_freq,
-        FrequencyController &controller,
-        std::function<void(const IntervalStats &)> observer = {});
-
-    /**
-     * Off-line Dynamic-X% comparator: tune the schedule margin so the
-     * replayed run degrades by `target_deg` over `mcd_base`. The whole
-     * search result is an OfflineSearchSpec artifact — a warm store
-     * returns it without probing at all — and on a miss the raw
-     * search (searchOfflineDynamic) runs, whose probes are themselves
-     * ExperimentSpec artifacts, so probes shared between searches
-     * (e.g. the coarse grid of Dynamic-1% and Dynamic-5%) simulate
-     * once and persist.
-     */
-    OfflineResult runOfflineDynamic(
-        const std::string &bench, double target_deg,
-        const SimStats &mcd_base,
-        const std::vector<IntervalProfile> &profile);
-
-    /**
-     * The raw off-line search driver behind runOfflineDynamic,
-     * bypassing the search-result memo (probe runs still resolve
-     * through the store): parallel grid batches — coarse grid,
-     * bracketed refinement, then per-domain refinement — fanned
-     * across the sweep workers.
-     */
-    OfflineResult searchOfflineDynamic(
-        const std::string &bench, double target_deg,
-        const SimStats &mcd_base,
-        const std::vector<IntervalProfile> &profile);
-
-    /**
-     * Global DVFS comparator, frequency-matched interpretation (used by
-     * Table 6): the whole synchronous chip is slowed by the target
-     * degradation factor, f = f_max / (1 + target_deg). This matches the
-     * paper's analysis of "realistic global frequency/voltage scaling",
-     * which treats the frequency cut as the performance cost (and hence
-     * reports the power/performance ratio near 2).
-     */
-    GlobalResult runGlobalAtDegradation(const std::string &bench,
-                                        double target_deg);
-
-    /** The closed-form frequency runGlobalAtDegradation runs at:
-     *  f = f_max / (1 + target_deg), clamped to the DVFS range. */
-    Hertz globalMatchedFrequency(double target_deg) const;
-
-    /**
-     * Global DVFS comparator, time-matched interpretation (ablation):
-     * find the single synchronous frequency whose measured run time
-     * matches `target_time`, using a T(f) = a + b/f model fitted from
-     * two calibration runs plus one secant refinement. Memory-bound
-     * applications barely slow down with frequency, so this
-     * interpretation lets global DVFS cut frequency much deeper.
-     * The search result is a GlobalMatchSpec artifact; a warm store
-     * skips the calibration runs entirely.
-     */
-    GlobalResult runGlobalMatching(const std::string &bench,
-                                   Tick target_time);
-
-    /** The raw calibration search behind runGlobalMatching (its
-     *  synchronous probe runs still resolve through the store). */
-    GlobalResult searchGlobalMatching(const std::string &bench,
-                                      Tick target_time);
-
-  private:
-    RunnerConfig config_;
-
-    std::uint64_t horizon() const
-    {
-        return config_.instructions + config_.warmup;
-    }
-};
+/**
+ * The global-DVFS frequency matched to a degradation target (Table 6's
+ * frequency-matched interpretation): the whole synchronous chip slowed
+ * by the target factor, f = f_max / (1 + target_deg), clamped to the
+ * DVFS range. This is the paper's "realistic global frequency/voltage
+ * scaling", which treats the frequency cut as the performance cost
+ * (and hence reports a power/performance ratio near 2).
+ */
+Hertz globalMatchedFrequency(const DvfsConfig &dvfs, double target_deg);
 
 } // namespace mcd
 

@@ -3,7 +3,7 @@
  * Open workload-scenario registry. Fixed scenarios (the paper's 30
  * Table 5 applications, plus anything user code registers) and
  * parametric families (prefix + knob string -> spec) resolve through
- * one lookup, so every spec-driven consumer — the Runner, the
+ * one lookup, so every spec-driven consumer — simulate(), the
  * ExperimentSpec layer, the figure benches, `mcd_cli`, and
  * `MCD_BENCHMARKS` — accepts a new scenario the moment it is
  * registered.

@@ -416,6 +416,10 @@ TEST_F(StoreTest, CorruptDiskEntryMissesAndReruns)
     corruptFile(DiskStore(root_).pathFor(spec.cacheKey()));
 
     ArtifactCache rerun;
+    rerun.attachDiskStore(root_);
+    // cachedHint reports presence, not validity: the corrupt entry
+    // reads as cached, and getOrRun still recomputes it.
+    EXPECT_TRUE(rerun.cachedHint(spec.cacheKey()));
     SimStats healed = rerun.getOrRun(spec);
     EXPECT_EQ(rerun.simulationsRun(), 1u); // miss: re-simulated
     EXPECT_EQ(rerun.diskHits(), 0u);
@@ -427,6 +431,13 @@ TEST_F(StoreTest, CorruptDiskEntryMissesAndReruns)
     after.getOrRun(spec);
     EXPECT_EQ(after.simulationsRun(), 0u);
     EXPECT_EQ(after.diskHits(), 1u);
+
+    // An entry path that is a directory reads as absent, and the hint
+    // does not throw.
+    ExperimentSpec blocked = tinySpec("em3d");
+    fs::create_directories(
+        fs::path(DiskStore(root_).pathFor(blocked.cacheKey())) / "d");
+    EXPECT_FALSE(after.cachedHint(blocked.cacheKey()));
 }
 
 TEST_F(StoreTest, VersionMismatchedEntryMissesAndReruns)
@@ -488,26 +499,30 @@ TEST_F(StoreTest, ProfilingPassYieldsBothArtifactsFromOneSimulation)
 
 TEST_F(StoreTest, OfflineSearchResultPersistsAcrossProcesses)
 {
-    // Through the singleton (Runner resolves via instance()): warm
-    // disk must serve the whole search — result and probes — with
-    // zero simulations after a clear() "process restart".
+    // Through the singleton (a search's probes resolve via
+    // instance()): warm disk must serve the whole search — result and
+    // probes — with zero simulations after a clear() "process restart".
     ArtifactCache &cache = ArtifactCache::instance();
     cache.clear();
     cache.detachDiskStore();
 
-    RunnerConfig config = tinySpec().config;
-    Runner runner(config);
-    std::vector<IntervalProfile> profile;
-    SimStats mcd = runner.runMcdBaseline("gsm", &profile);
-    OfflineResult cold =
-        runner.runOfflineDynamic("gsm", 0.05, mcd, profile);
+    ProfileSpec baseline{.benchmark = "gsm", .config = tinySpec().config};
+    auto search = [&](SimStats &mcd) {
+        std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
+        mcd = cache.getOrRun(baseline.experimentSpec());
+        return cache.getOrRun(OfflineSearchSpec{.benchmark = "gsm",
+                                                .targetDeg = 0.05,
+                                                .mcdBase = mcd,
+                                                .profile = profile,
+                                                .config = baseline.config});
+    };
+    SimStats mcd;
+    OfflineResult cold = search(mcd);
     EXPECT_GT(cache.simulationsRun(), 0u);
 
     cache.clear(); // cold process, warm disk
-    std::vector<IntervalProfile> profile2;
-    SimStats mcd2 = runner.runMcdBaseline("gsm", &profile2);
-    OfflineResult warm =
-        runner.runOfflineDynamic("gsm", 0.05, mcd2, profile2);
+    SimStats mcd2;
+    OfflineResult warm = search(mcd2);
     EXPECT_EQ(cache.simulationsRun(), 0u);
     EXPECT_GT(cache.diskHits(), 0u);
     EXPECT_EQ(warm.margin, cold.margin);
@@ -571,15 +586,19 @@ TEST_F(StoreTest, GlobalMatchResultPersistsAcrossProcesses)
     cache.detachDiskStore();
 
     RunnerConfig config = tinySpec().config;
-    Runner runner(config);
-    SimStats sync = runner.runSynchronous("gsm", config.dvfs.freqMax);
-    Tick target = static_cast<Tick>(
-        static_cast<double>(sync.time) * 1.05);
-    GlobalResult cold = runner.runGlobalMatching("gsm", target);
+    SimStats sync = runExperiment({.benchmark = "gsm",
+                                   .mode = ClockMode::Synchronous,
+                                   .config = config});
+    GlobalMatchSpec spec{
+        .benchmark = "gsm",
+        .targetTime =
+            static_cast<Tick>(static_cast<double>(sync.time) * 1.05),
+        .config = config};
+    GlobalResult cold = cache.getOrRun(spec);
     EXPECT_GT(cache.simulationsRun(), 0u);
 
     cache.clear();
-    GlobalResult warm = runner.runGlobalMatching("gsm", target);
+    GlobalResult warm = cache.getOrRun(spec);
     EXPECT_EQ(cache.simulationsRun(), 0u);
     EXPECT_EQ(warm.freq, cold.freq);
     EXPECT_EQ(warm.stats.time, cold.stats.time);

@@ -4,7 +4,7 @@
  * save/restore/resume at the Simulator level, the SimCheckpoint
  * artifact encoding (round trips and decode rejection), stale or
  * corrupt store entries reading as misses that heal, the bit-identity
- * contract of the Runner's fast-forward path (checkpointed and
+ * contract of simulate()'s fast-forward path (checkpointed and
  * straight-through runs produce byte-identical SimStats, on paper
  * apps and adversarial synthetics alike), checkpoint sharing across
  * controllers, and the per-op/batched power-accounting equivalence
@@ -77,7 +77,7 @@ class CheckpointTest : public ::testing::Test
                   "." + std::to_string(::getpid())))
                     .string();
         fs::remove_all(root_);
-        // The Runner resolves checkpoints through the process-wide
+        // simulate() resolves checkpoints through the process-wide
         // cache; start (and leave) it empty and memory-only.
         ArtifactCache::instance().clear();
         ArtifactCache::instance().detachDiskStore();
@@ -354,22 +354,21 @@ TEST_F(CheckpointTest, CheckpointsAreSharedAcrossControllers)
 TEST(PowerBatching, PerOpFlushMatchesBatchedAccounting)
 {
     // The interval-batched accountant sums the same charges as the
-    // legacy per-op flush (MCD_POWER_PEROP=1), just in coarser groups;
-    // timing must be untouched and energy equal to rounding.
-    auto run_once = [] {
+    // legacy per-op flush (SimConfig::powerPerOp), just in coarser
+    // groups; timing must be untouched and energy equal to rounding.
+    auto run_once = [](bool per_op) {
         auto workload = BenchmarkFactory::create("gsm", 100000);
         SimConfig config;
         config.core.intervalInstructions = 1000;
+        config.powerPerOp = per_op;
         AttackDecayController controller;
         Simulator sim(config, *workload, &controller);
         sim.run(30000);
         return sim.stats();
     };
 
-    SimStats batched = run_once();
-    ::setenv("MCD_POWER_PEROP", "1", 1);
-    SimStats per_op = run_once();
-    ::unsetenv("MCD_POWER_PEROP");
+    SimStats batched = run_once(false);
+    SimStats per_op = run_once(true);
 
     EXPECT_EQ(batched.instructions, per_op.instructions);
     EXPECT_EQ(batched.feCycles, per_op.feCycles);

@@ -10,6 +10,9 @@
 
 #include <algorithm>
 
+#include "common/serial.hh"
+#include "eval/trace.hh"
+#include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
 #include "harness/parallel_sweep.hh"
 #include "workload/scenario_registry.hh"
@@ -216,6 +219,70 @@ TEST(ExperimentSpec, DescribeNamesTheSpecForProvenance)
               std::string::npos);
     EXPECT_NE(search.describe().find("target_deg=0.05"),
               std::string::npos);
+}
+
+/**
+ * The exact key bytes of every artifact namespace, pinned as FNV-1a
+ * digests. A store entry is found only by its key, so a refactor that
+ * reorders, adds or drops key bytes orphans every existing store
+ * without any error; it must fail here instead. Changing a layout on
+ * purpose means bumping its namespace (or METHODOLOGY_VERSION) and
+ * re-recording these constants.
+ */
+TEST(ExperimentSpec, CacheKeyLayoutIsPinned)
+{
+    RunnerConfig config = tinyConfig();
+    config.clockSeed = 777;
+    // Excluded from every key: changing them must not move a digest.
+    config.jobs = 3;
+    config.store = "/nonexistent/store";
+    config.checkpointEvery = 500;
+
+    ExperimentSpec experiment;
+    experiment.benchmark = "gsm";
+    experiment.mode = ClockMode::Synchronous;
+    experiment.startFreq = 0.8e9;
+    experiment.controller = attackDecaySpec(AttackDecayConfig{});
+    experiment.config = config;
+
+    ProfileSpec profile;
+    profile.benchmark = "em3d";
+    profile.config = config;
+
+    OfflineSearchSpec offline;
+    offline.benchmark = "gsm";
+    offline.targetDeg = 0.05;
+    offline.mcdBase.time = 123456;
+    offline.mcdBase.chipEnergy = 42.5;
+    offline.profile.resize(2);
+    offline.profile[1].instructions = 500;
+    offline.profile[1].ipc = 1.25;
+    offline.config = config;
+
+    GlobalMatchSpec global;
+    global.benchmark = "adpcm";
+    global.targetTime = 987654321;
+    global.config = config;
+
+    CheckpointSpec checkpoint;
+    checkpoint.benchmark = "gsm";
+    checkpoint.mode = ClockMode::Mcd;
+    checkpoint.at = 1000;
+    checkpoint.config = config;
+
+    TraceSpec trace;
+    trace.benchmark = "gsm";
+    trace.controller.name = "schedule";
+    trace.controller.schedule = {FrequencyVector{0.5e9, 0.6e9, 0.7e9}};
+    trace.oracle = {FrequencyVector{0.9e9, 0.8e9, 0.7e9}};
+    trace.config = config;
+
+    EXPECT_EQ(serial::fnv1a(experiment.cacheKey()), 0x123e8ffd69b082c6ull);
+    EXPECT_EQ(serial::fnv1a(profile.cacheKey()), 0x33d578289e83f29full);
+    EXPECT_EQ(serial::fnv1a(offline.cacheKey()), 0x52e45dcb5cc290e6ull);
+    EXPECT_EQ(serial::fnv1a(global.cacheKey()), 0xc047edde3e6d85f8ull);
+    EXPECT_EQ(serial::fnv1a(checkpoint.cacheKey()), 0x03bb71a2bdd21601ull);
+    EXPECT_EQ(serial::fnv1a(trace.cacheKey()), 0x35577ad631ec2b34ull);
 }
 
 TEST(ExperimentSpec, ExplicitMaxFrequencyMatchesDefault)
@@ -456,10 +523,14 @@ TEST_F(ArtifactCacheTest, InflightMapDrainsOnceRequestsResolve)
 
     // Nested requests: an offline search fans out probe requests
     // through the same map.
-    Runner runner(tinyConfig());
-    std::vector<IntervalProfile> profile;
-    SimStats mcd = runner.runMcdBaseline("gsm", &profile);
-    runner.runOfflineDynamic("gsm", 0.05, mcd, profile);
+    ProfileSpec baseline{.benchmark = "gsm", .config = tinyConfig()};
+    std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
+    SimStats mcd = cache.getOrRun(baseline.experimentSpec());
+    cache.getOrRun(OfflineSearchSpec{.benchmark = "gsm",
+                                     .targetDeg = 0.05,
+                                     .mcdBase = mcd,
+                                     .profile = profile,
+                                     .config = tinyConfig()});
     EXPECT_GT(cache.lookups(), 6u);
     EXPECT_EQ(cache.inflightEntries(), 0u);
 }
@@ -551,16 +622,22 @@ TEST_F(ArtifactCacheTest, FigureStyleSweepsIssueStrictlyFewerSimulations)
 TEST_F(ArtifactCacheTest, OfflineSearchesShareCoarseProbes)
 {
     ArtifactCache &cache = ArtifactCache::instance();
-    Runner runner(tinyConfig());
-    std::vector<IntervalProfile> profile;
-    SimStats mcd = runner.runMcdBaseline("gsm", &profile);
+    ProfileSpec baseline{.benchmark = "gsm", .config = tinyConfig()};
+    std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
+    OfflineSearchSpec search{.benchmark = "gsm",
+                             .mcdBase =
+                                 cache.getOrRun(baseline.experimentSpec()),
+                             .profile = profile,
+                             .config = tinyConfig()};
 
-    runner.runOfflineDynamic("gsm", 0.01, mcd, profile);
+    search.targetDeg = 0.01;
+    cache.getOrRun(search);
     std::uint64_t after_first = cache.simulationsRun();
     std::uint64_t lookups_first = cache.lookups();
     EXPECT_GT(after_first, 0u);
 
-    runner.runOfflineDynamic("gsm", 0.05, mcd, profile);
+    search.targetDeg = 0.05;
+    cache.getOrRun(search);
     std::uint64_t second_lookups = cache.lookups() - lookups_first;
     std::uint64_t second_sims = cache.simulationsRun() - after_first;
     // The second search re-probes the identical coarse grid (and

@@ -9,8 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "control/attack_decay.hh"
+#include "harness/experiment.hh"
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
 
 namespace mcd
 {
@@ -132,13 +132,12 @@ TEST(FrontEndExtension, DecaysFrontEndWhenRobIsFlat)
     config.instructions = 40000;
     config.warmup = 5000;
     config.intervalInstructions = 500;
-    Runner runner(config);
     AttackDecayConfig adc;
     adc.decay = 0.0125;
     FrontEndAttackDecayController controller(adc);
     double min_fe = 1.0e9;
-    runner.runWithController(
-        "adpcm", ClockMode::Mcd, 1.0e9, controller,
+    simulate(
+        config, "adpcm", ClockMode::Mcd, 1.0e9, &controller,
         [&](const IntervalStats &stats) {
             min_fe = std::min(min_fe, stats.feFrequency);
         });
@@ -158,7 +157,6 @@ TEST(FrontEndExtension, FrontEndSlowdownHurtsHighIpcAppsMost)
     RunnerConfig config;
     config.instructions = 40000;
     config.warmup = 10000;
-    Runner runner(config);
 
     class Pinned : public FrequencyController
     {
@@ -179,10 +177,12 @@ TEST(FrontEndExtension, FrontEndSlowdownHurtsHighIpcAppsMost)
     };
 
     auto degradation = [&](const char *bench) {
-        SimStats base = runner.runMcdBaseline(bench);
+        SimStats base = ArtifactCache::instance().getOrRun(
+            ProfileSpec{.benchmark = bench, .config = config}
+                .experimentSpec());
         Pinned slow(0.5e9); // halved front end
-        SimStats pinned = runner.runWithController(
-            bench, ClockMode::Mcd, 1.0e9, slow);
+        SimStats pinned =
+            simulate(config, bench, ClockMode::Mcd, 1.0e9, &slow);
         return compare(base, pinned).perfDegradation;
     };
 
@@ -200,12 +200,13 @@ TEST(FrontEndExtension, BackEndBehaviorMatchesPlainController)
     RunnerConfig config;
     config.instructions = 30000;
     config.warmup = 5000;
-    Runner runner(config);
     AttackDecayConfig adc;
-    SimStats plain = runner.runAttackDecay("swim", adc);
+    SimStats plain = runExperiment({.benchmark = "swim",
+                                    .controller = attackDecaySpec(adc),
+                                    .config = config});
     FrontEndAttackDecayController controller(adc);
-    SimStats extended = runner.runWithController(
-        "swim", ClockMode::Mcd, 1.0e9, controller);
+    SimStats extended =
+        simulate(config, "swim", ClockMode::Mcd, 1.0e9, &controller);
     // Both are valid runs of the same workload.
     EXPECT_EQ(plain.instructions, extended.instructions);
     // The extension can only add front-end slowdown.

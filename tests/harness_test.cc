@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the experiment harness: metric arithmetic, table/CSV
- * rendering, and the Runner's canonical configurations and searches on
- * small windows.
+ * rendering, and the canonical experiment specs and searches on small
+ * windows.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
+#include "harness/experiment.hh"
 #include "harness/table.hh"
 
 namespace mcd
@@ -124,11 +124,41 @@ tinyConfig()
     return config;
 }
 
-TEST(Runner, SynchronousAndMcdBaselines)
+ArtifactCache &
+cache()
 {
-    Runner runner(tinyConfig());
-    SimStats sync = runner.runSynchronous("gsm", 1.0e9);
-    SimStats mcd = runner.runMcdBaseline("gsm");
+    return ArtifactCache::instance();
+}
+
+/** The baseline MCD run (the profiling pass's SimStats artifact). */
+ExperimentSpec
+mcdBaseline(const std::string &bench)
+{
+    return ProfileSpec{.benchmark = bench, .config = tinyConfig()}
+        .experimentSpec();
+}
+
+ExperimentSpec
+synchronous(const std::string &bench, Hertz freq)
+{
+    return {.benchmark = bench,
+            .mode = ClockMode::Synchronous,
+            .startFreq = freq,
+            .config = tinyConfig()};
+}
+
+ExperimentSpec
+schedule(const std::string &bench, std::vector<FrequencyVector> freqs)
+{
+    return {.benchmark = bench,
+            .controller = {.name = "schedule", .schedule = freqs},
+            .config = tinyConfig()};
+}
+
+TEST(Experiments, SynchronousAndMcdBaselines)
+{
+    SimStats sync = runExperiment(synchronous("gsm", 1.0e9));
+    SimStats mcd = cache().getOrRun(mcdBaseline("gsm"));
     EXPECT_EQ(sync.instructions, 20000u);
     EXPECT_EQ(mcd.instructions, 20000u);
     // MCD pays sync penalties and clock overhead.
@@ -136,11 +166,10 @@ TEST(Runner, SynchronousAndMcdBaselines)
     EXPECT_GT(mcd.epi, sync.epi);
 }
 
-TEST(Runner, BaselineProfilesEveryMeasuredInterval)
+TEST(Experiments, BaselineProfilesEveryMeasuredInterval)
 {
-    Runner runner(tinyConfig());
-    std::vector<IntervalProfile> profile;
-    runner.runMcdBaseline("gsm", &profile);
+    std::vector<IntervalProfile> profile = cache().getOrRun(
+        ProfileSpec{.benchmark = "gsm", .config = tinyConfig()});
     // Methodology v2: the observer engages at the measurement
     // boundary, so only measured / interval boundaries are recorded.
     EXPECT_GE(profile.size(), 40u);
@@ -151,34 +180,52 @@ TEST(Runner, BaselineProfilesEveryMeasuredInterval)
     }
 }
 
-TEST(Runner, AttackDecaySavesEnergyOnPhasedWorkload)
+TEST(Experiments, AttackDecaySavesEnergyOnPhasedWorkload)
 {
-    Runner runner(tinyConfig());
-    SimStats mcd = runner.runMcdBaseline("adpcm");
-    SimStats ad = runner.runAttackDecay("adpcm", AttackDecayConfig{});
+    SimStats mcd = cache().getOrRun(mcdBaseline("adpcm"));
+    SimStats ad = runExperiment(
+        {.benchmark = "adpcm",
+         .controller = attackDecaySpec(AttackDecayConfig{}),
+         .config = tinyConfig()});
     ComparisonMetrics m = compare(mcd, ad);
     EXPECT_GT(m.energySavings, 0.01);
     EXPECT_LT(m.perfDegradation, 0.15);
 }
 
-TEST(Runner, ScheduleRunsApplySchedules)
+TEST(Experiments, ScheduleRunsApplySchedules)
 {
-    Runner runner(tinyConfig());
-    SimStats fast = runner.runSchedule(
-        "gsm", {FrequencyVector{1.0e9, 1.0e9, 1.0e9}});
-    SimStats slow = runner.runSchedule(
-        "gsm", {FrequencyVector{250.0e6, 250.0e6, 250.0e6}});
+    SimStats fast = runExperiment(
+        schedule("gsm", {FrequencyVector{1.0e9, 1.0e9, 1.0e9}}));
+    SimStats slow = runExperiment(
+        schedule("gsm", {FrequencyVector{250.0e6, 250.0e6, 250.0e6}}));
     EXPECT_GT(slow.time, fast.time);
     EXPECT_LT(slow.chipEnergy, fast.chipEnergy);
 }
 
-TEST(Runner, OfflineSearchRespectsCap)
+/** The off-line Dynamic-X% search of `bench` against its baseline. */
+struct OfflineRun
 {
-    Runner runner(tinyConfig());
-    std::vector<IntervalProfile> profile;
-    SimStats mcd = runner.runMcdBaseline("gsm", &profile);
-    OfflineResult result =
-        runner.runOfflineDynamic("gsm", 0.05, mcd, profile);
+    SimStats mcd;
+    OfflineResult result;
+};
+
+OfflineRun
+offline(const std::string &bench, double target_deg)
+{
+    ProfileSpec baseline{.benchmark = bench, .config = tinyConfig()};
+    std::vector<IntervalProfile> profile = cache().getOrRun(baseline);
+    SimStats mcd = cache().getOrRun(baseline.experimentSpec());
+    return {mcd, cache().getOrRun(OfflineSearchSpec{
+                     .benchmark = bench,
+                     .targetDeg = target_deg,
+                     .mcdBase = mcd,
+                     .profile = profile,
+                     .config = tinyConfig()})};
+}
+
+TEST(Experiments, OfflineSearchRespectsCap)
+{
+    auto [mcd, result] = offline("gsm", 0.05);
     EXPECT_LE(result.achievedDeg, 0.05 + 1e-9);
     EXPECT_GE(result.margin, 0.0);
     EXPECT_LE(result.margin, 1.0);
@@ -186,36 +233,31 @@ TEST(Runner, OfflineSearchRespectsCap)
     EXPECT_LT(result.stats.chipEnergy, mcd.chipEnergy);
 }
 
-TEST(Runner, OfflineFiveIsAtLeastAsAggressiveAsOne)
+TEST(Experiments, OfflineFiveIsAtLeastAsAggressiveAsOne)
 {
-    Runner runner(tinyConfig());
-    std::vector<IntervalProfile> profile;
-    SimStats mcd = runner.runMcdBaseline("epic", &profile);
-    OfflineResult dyn1 =
-        runner.runOfflineDynamic("epic", 0.01, mcd, profile);
-    OfflineResult dyn5 =
-        runner.runOfflineDynamic("epic", 0.05, mcd, profile);
+    OfflineResult dyn1 = offline("epic", 0.01).result;
+    OfflineResult dyn5 = offline("epic", 0.05).result;
     EXPECT_LE(dyn5.stats.chipEnergy, dyn1.stats.chipEnergy * 1.001);
 }
 
-TEST(Runner, GlobalAtDegradationScalesFrequency)
+TEST(Experiments, GlobalAtDegradationScalesFrequency)
 {
-    Runner runner(tinyConfig());
-    GlobalResult result = runner.runGlobalAtDegradation("gsm", 0.10);
-    EXPECT_NEAR(result.freq, 1.0e9 / 1.10, 1.0e9 / 1.10 * 0.01);
-    SimStats sync = runner.runSynchronous("gsm", 1.0e9);
-    ComparisonMetrics m = compare(sync, result.stats);
+    Hertz freq = globalMatchedFrequency(tinyConfig().dvfs, 0.10);
+    SimStats global = cache().getOrRun(synchronous("gsm", freq));
+    EXPECT_NEAR(freq, 1.0e9 / 1.10, 1.0e9 / 1.10 * 0.01);
+    SimStats sync = runExperiment(synchronous("gsm", 1.0e9));
+    ComparisonMetrics m = compare(sync, global);
     EXPECT_GT(m.perfDegradation, 0.0);
     EXPECT_GT(m.energySavings, 0.0);
 }
 
-TEST(Runner, GlobalMatchingHitsTargetTime)
+TEST(Experiments, GlobalMatchingHitsTargetTime)
 {
-    Runner runner(tinyConfig());
-    SimStats sync = runner.runSynchronous("gsm", 1.0e9);
+    SimStats sync = runExperiment(synchronous("gsm", 1.0e9));
     Tick target = static_cast<Tick>(
         static_cast<double>(sync.time) * 1.08);
-    GlobalResult result = runner.runGlobalMatching("gsm", target);
+    GlobalResult result = cache().getOrRun(GlobalMatchSpec{
+        .benchmark = "gsm", .targetTime = target, .config = tinyConfig()});
     double error = std::abs(static_cast<double>(result.stats.time) -
                             static_cast<double>(target)) /
                    static_cast<double>(target);
@@ -248,7 +290,7 @@ class EnvGuard
     }
 };
 
-TEST(Runner, EnvOverrides)
+TEST(RunnerConfig, EnvOverrides)
 {
     EnvGuard guard;
     setenv("MCD_INSNS", "12345", 1);
@@ -263,7 +305,7 @@ TEST(Runner, EnvOverrides)
     EXPECT_EQ(config.jobs, 4);
 }
 
-TEST(Runner, EnvOverridesAbsentLeaveDefaults)
+TEST(RunnerConfig, EnvOverridesAbsentLeaveDefaults)
 {
     EnvGuard guard;
     RunnerConfig config;
@@ -276,7 +318,7 @@ TEST(Runner, EnvOverridesAbsentLeaveDefaults)
     EXPECT_EQ(config.jobs, defaults.jobs);
 }
 
-TEST(Runner, EnvOverridesIgnoreBadValues)
+TEST(RunnerConfig, EnvOverridesIgnoreBadValues)
 {
     EnvGuard guard;
     // Non-numeric, zero, and negative values must not clobber a sane
@@ -296,7 +338,7 @@ TEST(Runner, EnvOverridesIgnoreBadValues)
     EXPECT_EQ(config.jobs, defaults.jobs);
 }
 
-TEST(Runner, EnvOverridesAllowZeroWarmup)
+TEST(RunnerConfig, EnvOverridesAllowZeroWarmup)
 {
     EnvGuard guard;
     // Warm-up may legitimately be disabled entirely.
@@ -306,7 +348,7 @@ TEST(Runner, EnvOverridesAllowZeroWarmup)
     EXPECT_EQ(config.warmup, 0u);
 }
 
-TEST(Runner, EnvOverridesPartialSetTouchesOnlyThatKnob)
+TEST(RunnerConfig, EnvOverridesPartialSetTouchesOnlyThatKnob)
 {
     EnvGuard guard;
     setenv("MCD_INTERVAL", "750", 1);
@@ -319,13 +361,12 @@ TEST(Runner, EnvOverridesPartialSetTouchesOnlyThatKnob)
     EXPECT_EQ(config.jobs, defaults.jobs);
 }
 
-TEST(Runner, IdenticalVariantsShareTheWorkloadStream)
+TEST(Experiments, IdenticalVariantsShareTheWorkloadStream)
 {
     // Two baseline runs of the same benchmark must be bit-identical:
     // the workload and clocks are seeded deterministically.
-    Runner runner(tinyConfig());
-    SimStats a = runner.runMcdBaseline("bh");
-    SimStats b = runner.runMcdBaseline("bh");
+    SimStats a = runExperiment(mcdBaseline("bh"));
+    SimStats b = runExperiment(mcdBaseline("bh"));
     EXPECT_EQ(a.time, b.time);
     EXPECT_DOUBLE_EQ(a.chipEnergy, b.chipEnergy);
 }

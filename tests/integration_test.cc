@@ -10,11 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "control/attack_decay.hh"
+#include "harness/experiment.hh"
 #include "harness/metrics.hh"
-#include "harness/runner.hh"
 
 namespace mcd
 {
@@ -31,14 +32,57 @@ integrationConfig(std::uint64_t insts = 60000)
     return config;
 }
 
+/** The baseline MCD run: the profiling pass's cached SimStats. */
+SimStats
+mcdBaseline(const std::string &bench, const RunnerConfig &config)
+{
+    return ArtifactCache::instance().getOrRun(
+        ProfileSpec{.benchmark = bench, .config = config}
+            .experimentSpec());
+}
+
+/** The fully synchronous machine at 1 GHz (uncached). */
+SimStats
+synchronous(const std::string &bench, const RunnerConfig &config)
+{
+    return runExperiment({.benchmark = bench,
+                          .mode = ClockMode::Synchronous,
+                          .startFreq = 1.0e9,
+                          .config = config});
+}
+
+/** Attack/Decay at its defaults (uncached), streaming intervals. */
+SimStats
+attackDecay(const std::string &bench, const RunnerConfig &config,
+            std::function<void(const IntervalStats &)> observer = {})
+{
+    return runExperiment(
+        {.benchmark = bench,
+         .controller = attackDecaySpec(AttackDecayConfig{}),
+         .config = config},
+        std::move(observer));
+}
+
+/** Global DVFS frequency-matched to `target_deg` (cached). */
+SimStats
+globalAt(const std::string &bench, double target_deg,
+         const RunnerConfig &config)
+{
+    return ArtifactCache::instance().getOrRun(ExperimentSpec{
+        .benchmark = bench,
+        .mode = ClockMode::Synchronous,
+        .startFreq = globalMatchedFrequency(config.dvfs, target_deg),
+        .config = config});
+}
+
 TEST(Integration, InherentMcdDegradationIsSmall)
 {
     // Section 2: the MCD fabric itself costs a few percent at most.
-    Runner runner(integrationConfig());
+    RunnerConfig config = integrationConfig();
     std::vector<ComparisonMetrics> all;
     for (const char *bench : {"gsm", "epic", "gcc", "power"}) {
-        SimStats sync = runner.runSynchronous(bench, 1.0e9);
-        SimStats mcd = runner.runMcdBaseline(bench);
+        SimStats sync = synchronous(bench, config);
+        SimStats mcd = mcdBaseline(bench, config);
         all.push_back(compare(sync, mcd));
     }
     double deg = meanOf(all, &ComparisonMetrics::perfDegradation);
@@ -51,9 +95,9 @@ TEST(Integration, McdClockOverheadNearThreePercent)
     // Section 4: +10% clock energy = +2.9% total energy. Compare the
     // baseline MCD EPI against synchronous EPI after factoring out the
     // time stretch (base energy scales with cycles).
-    Runner runner(integrationConfig());
-    SimStats sync = runner.runSynchronous("gsm", 1.0e9);
-    SimStats mcd = runner.runMcdBaseline("gsm");
+    RunnerConfig config = integrationConfig();
+    SimStats sync = synchronous("gsm", config);
+    SimStats mcd = mcdBaseline("gsm", config);
     double time_ratio = static_cast<double>(mcd.time) /
                         static_cast<double>(sync.time);
     double epi_ratio = mcd.epi / sync.epi;
@@ -66,14 +110,12 @@ TEST(Integration, AttackDecayDropsIdleFpDomain)
 {
     // Figure 3 structure: for an FP-free application the FP domain
     // frequency must decay well below maximum.
-    Runner runner(integrationConfig());
+    RunnerConfig config = integrationConfig();
     double min_fp_freq = 1.0e9;
-    runner.runAttackDecay("adpcm", AttackDecayConfig{},
-                          [&](const IntervalStats &stats) {
-                              min_fp_freq = std::min(
-                                  min_fp_freq,
-                                  stats.domains[CTL_FP].frequency);
-                          });
+    attackDecay("adpcm", config, [&](const IntervalStats &stats) {
+        min_fp_freq =
+            std::min(min_fp_freq, stats.domains[CTL_FP].frequency);
+    });
     EXPECT_LT(min_fp_freq, 0.9e9);
 }
 
@@ -84,12 +126,11 @@ TEST(Integration, AttackDecayStaysGentleOnMcf)
     // saturated queues keep the important domains fast. At our scaled
     // windows we assert the consequences: small degradation, positive
     // savings, and no domain crashing to the floor.
-    Runner runner(integrationConfig(40000));
-    SimStats mcd = runner.runMcdBaseline("mcf");
+    RunnerConfig config = integrationConfig(40000);
+    SimStats mcd = mcdBaseline("mcf", config);
     double min_freq = 1.0e9;
-    SimStats ad = runner.runAttackDecay(
-        "mcf", AttackDecayConfig{},
-        [&](const IntervalStats &stats) {
+    SimStats ad = attackDecay(
+        "mcf", config, [&](const IntervalStats &stats) {
             for (int slot = 0; slot < NUM_CONTROLLED; ++slot)
                 min_freq = std::min(
                     min_freq,
@@ -106,17 +147,13 @@ TEST(Integration, AttackDecayRespondsToFpPhases)
 {
     // Figure 3: epic's FP frequency must fall during idle-FP phases
     // and rise again when the FP phase begins.
-    Runner runner(integrationConfig(120000));
+    RunnerConfig config = integrationConfig(120000);
     std::vector<double> freq;
     std::vector<double> util;
-    runner.runAttackDecay("epic", AttackDecayConfig{},
-                          [&](const IntervalStats &stats) {
-                              freq.push_back(
-                                  stats.domains[CTL_FP].frequency);
-                              util.push_back(
-                                  stats.domains[CTL_FP]
-                                      .queueUtilization);
-                          });
+    attackDecay("epic", config, [&](const IntervalStats &stats) {
+        freq.push_back(stats.domains[CTL_FP].frequency);
+        util.push_back(stats.domains[CTL_FP].queueUtilization);
+    });
     ASSERT_GT(freq.size(), 50u);
     double min_freq = *std::min_element(freq.begin(), freq.end());
     double max_util = *std::max_element(util.begin(), util.end());
@@ -138,11 +175,10 @@ TEST(Integration, AttackDecayRespondsToFpPhases)
 
 TEST(Integration, AttackDecayBeatsBaselineEnergyAcrossClasses)
 {
-    Runner runner(integrationConfig());
+    RunnerConfig config = integrationConfig();
     for (const char *bench : {"adpcm", "epic", "mcf", "swim"}) {
-        SimStats mcd = runner.runMcdBaseline(bench);
-        SimStats ad = runner.runAttackDecay(bench,
-                                            AttackDecayConfig{});
+        SimStats mcd = mcdBaseline(bench, config);
+        SimStats ad = attackDecay(bench, config);
         ComparisonMetrics m = compare(mcd, ad);
         EXPECT_GT(m.energySavings, 0.0) << bench;
         EXPECT_LT(m.perfDegradation, 0.20) << bench;
@@ -152,13 +188,19 @@ TEST(Integration, AttackDecayBeatsBaselineEnergyAcrossClasses)
 TEST(Integration, Dynamic5SavesMoreEnergyThanDynamic1)
 {
     // Table 6 structure: the looser cap buys more energy.
-    Runner runner(integrationConfig());
-    std::vector<IntervalProfile> profile;
-    SimStats mcd = runner.runMcdBaseline("epic", &profile);
-    OfflineResult dyn1 =
-        runner.runOfflineDynamic("epic", 0.01, mcd, profile);
-    OfflineResult dyn5 =
-        runner.runOfflineDynamic("epic", 0.05, mcd, profile);
+    RunnerConfig config = integrationConfig();
+    ArtifactCache &cache = ArtifactCache::instance();
+    ProfileSpec baseline{.benchmark = "epic", .config = config};
+    std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
+    SimStats mcd = cache.getOrRun(baseline.experimentSpec());
+    OfflineSearchSpec search{.benchmark = "epic",
+                             .mcdBase = mcd,
+                             .profile = profile,
+                             .config = config};
+    search.targetDeg = 0.01;
+    OfflineResult dyn1 = cache.getOrRun(search);
+    search.targetDeg = 0.05;
+    OfflineResult dyn5 = cache.getOrRun(search);
     EXPECT_LE(dyn1.achievedDeg, 0.011);
     EXPECT_LE(dyn5.achievedDeg, 0.051);
     EXPECT_GE(compare(mcd, dyn5.stats).energySavings,
@@ -170,13 +212,11 @@ TEST(Integration, GlobalScalingRatioIsNearTwo)
     // Table 6: global frequency/voltage scaling of the synchronous
     // machine yields a power/performance ratio around 2-3 for
     // compute-bound applications.
-    Runner runner(integrationConfig());
+    RunnerConfig config = integrationConfig();
     std::vector<ComparisonMetrics> all;
     for (const char *bench : {"gsm", "adpcm", "power", "pegwit"}) {
-        SimStats sync = runner.runSynchronous(bench, 1.0e9);
-        GlobalResult global =
-            runner.runGlobalAtDegradation(bench, 0.05);
-        all.push_back(compare(sync, global.stats));
+        SimStats sync = synchronous(bench, config);
+        all.push_back(compare(sync, globalAt(bench, 0.05, config)));
     }
     double ratio = powerPerfRatio(all);
     EXPECT_GT(ratio, 1.3);
@@ -187,17 +227,15 @@ TEST(Integration, McdAttackDecayBeatsGlobalRatio)
 {
     // The paper's headline claim: per-domain control achieves a much
     // better power-savings-to-degradation ratio than global scaling.
-    Runner runner(integrationConfig());
+    RunnerConfig config = integrationConfig();
     std::vector<ComparisonMetrics> ad_all, global_all;
     for (const char *bench : {"adpcm", "epic", "gsm", "power"}) {
-        SimStats mcd = runner.runMcdBaseline(bench);
-        SimStats sync = runner.runSynchronous(bench, 1.0e9);
-        SimStats ad = runner.runAttackDecay(bench,
-                                            AttackDecayConfig{});
+        SimStats mcd = mcdBaseline(bench, config);
+        SimStats sync = synchronous(bench, config);
+        SimStats ad = attackDecay(bench, config);
         ad_all.push_back(compare(mcd, ad));
-        GlobalResult global =
-            runner.runGlobalAtDegradation(bench, 0.05);
-        global_all.push_back(compare(sync, global.stats));
+        global_all.push_back(
+            compare(sync, globalAt(bench, 0.05, config)));
     }
     EXPECT_GT(powerPerfRatio(ad_all), powerPerfRatio(global_all));
 }
@@ -208,23 +246,27 @@ TEST(Integration, SlewedVsImmediateFrequencyChangesDiffer)
     // schedule applies changes instantaneously. A schedule replayed
     // through the slewing path (via target changes each interval in
     // AttackDecay) must not be identical to the immediate path.
-    Runner runner(integrationConfig(30000));
-    SimStats immediate = runner.runSchedule(
-        "gsm", {FrequencyVector{600.0e6, 600.0e6, 600.0e6}});
+    RunnerConfig config = integrationConfig(30000);
+    SimStats immediate = runExperiment(
+        {.benchmark = "gsm",
+         .controller = {.name = "schedule",
+                        .schedule = {FrequencyVector{600.0e6, 600.0e6,
+                                                     600.0e6}}},
+         .config = config});
     // The same end state reached through a slew from 1 GHz.
     auto workload = BenchmarkFactory::create(
-        "gsm", runner.config().instructions + runner.config().warmup);
+        "gsm", config.instructions + config.warmup);
     SimConfig sim_config;
-    sim_config.clocks.seed = runner.config().clockSeed;
+    sim_config.clocks.seed = config.clockSeed;
     Simulator sim(sim_config, *workload);
     sim.clocks().clock(DomainId::Integer).setTargetFrequency(600.0e6);
     sim.clocks().clock(DomainId::FloatingPoint)
         .setTargetFrequency(600.0e6);
     sim.clocks().clock(DomainId::LoadStore).setTargetFrequency(
         600.0e6);
-    sim.run(runner.config().warmup);
+    sim.run(config.warmup);
     sim.resetMeasurement();
-    sim.run(runner.config().instructions);
+    sim.run(config.instructions);
     // After the slew completes both run at 600 MHz, but the slewed run
     // spent its early warm-up faster: times must differ while both
     // remain valid runs.

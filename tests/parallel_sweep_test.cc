@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "harness/experiment.hh"
 #include "harness/metrics.hh"
 #include "harness/parallel_sweep.hh"
 
@@ -122,19 +123,37 @@ tinyConfig()
     return config;
 }
 
-std::vector<SweepJob>
-tinyJobs()
+/** `bench` under `controller` on the clock stream of `seed_index`:
+ *  the seed-matching rule every bench-side batch follows. */
+ExperimentSpec
+seeded(const std::string &bench, std::uint64_t seed_index,
+       const ControllerSpec &controller = {.name = "profiling"})
 {
-    const std::vector<std::string> names = {"adpcm", "gsm", "mcf",
-                                            "epic", "swim"};
-    std::vector<SweepJob> jobs;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const std::string name = names[i];
-        jobs.push_back({name, tinyConfig(), i, [name](Runner &r) {
-                            return r.runMcdBaseline(name);
-                        }});
-    }
-    return jobs;
+    RunnerConfig config = tinyConfig();
+    config.clockSeed = deriveJobSeed(config.clockSeed, seed_index);
+    return {.benchmark = bench, .controller = controller, .config = config};
+}
+
+const std::vector<std::string> kNames = {"adpcm", "gsm", "mcf", "epic",
+                                         "swim"};
+
+/** One baseline MCD spec per benchmark, seed index = position. */
+std::vector<ExperimentSpec>
+tinySpecs(const ControllerSpec &controller = {.name = "profiling"})
+{
+    std::vector<ExperimentSpec> specs;
+    for (std::size_t i = 0; i < kNames.size(); ++i)
+        specs.push_back(seeded(kNames[i], i, controller));
+    return specs;
+}
+
+/** runExperiments on a cold cache: every spec really simulates on the
+ *  given worker count (a warm cache would answer from memory). */
+std::vector<SimStats>
+runCold(const std::vector<ExperimentSpec> &specs, int workers)
+{
+    ArtifactCache::instance().clear();
+    return runExperiments(specs, workers);
 }
 
 void
@@ -154,65 +173,62 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
     }
 }
 
-TEST(ParallelSweep, OneWorkerAndManyWorkersAreBitIdentical)
+class ParallelSweepRuns : public ::testing::Test
 {
-    auto jobs = tinyJobs();
-    auto serial = ParallelSweep(1).run(jobs);
-    auto parallel4 = ParallelSweep(4).run(jobs);
-    auto parallel8 = ParallelSweep(8).run(jobs);
+  protected:
+    void SetUp() override { ArtifactCache::instance().clear(); }
+    void TearDown() override { ArtifactCache::instance().clear(); }
+};
 
-    ASSERT_EQ(serial.size(), jobs.size());
-    ASSERT_EQ(parallel4.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(serial[i].label, jobs[i].label);
-        EXPECT_EQ(parallel4[i].label, jobs[i].label);
-        expectIdenticalStats(serial[i].stats, parallel4[i].stats);
-        expectIdenticalStats(serial[i].stats, parallel8[i].stats);
+TEST_F(ParallelSweepRuns, OneWorkerAndManyWorkersAreBitIdentical)
+{
+    auto specs = tinySpecs();
+    auto serial = runCold(specs, 1);
+    auto parallel4 = runCold(specs, 4);
+    auto parallel8 = runCold(specs, 8);
+
+    ASSERT_EQ(serial.size(), specs.size());
+    ASSERT_EQ(parallel4.size(), specs.size());
+    ASSERT_EQ(parallel8.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        // Results land in spec order...
+        expectIdenticalStats(serial[i], runExperiment(specs[i]));
+        // ...bit-identically for any worker count.
+        expectIdenticalStats(serial[i], parallel4[i]);
+        expectIdenticalStats(serial[i], parallel8[i]);
     }
 }
 
-TEST(ParallelSweep, SeedIndexSelectsTheClockStream)
+TEST_F(ParallelSweepRuns, SeedIndexSelectsTheClockStream)
 {
-    // Same seedIndex => identical machine; different seedIndex =>
-    // different jittered clock stream => different timings.
-    SweepJob a{"a", tinyConfig(), 7, [](Runner &r) {
-                   return r.runMcdBaseline("gsm");
-               }};
-    SweepJob b = a;
-    b.label = "b";
-    SweepJob c = a;
-    c.label = "c";
-    c.seedIndex = 8;
-
-    auto results = ParallelSweep(3).run({a, b, c});
-    expectIdenticalStats(results[0].stats, results[1].stats);
-    EXPECT_NE(results[0].stats.time, results[2].stats.time);
+    // Same seed index => identical machine; different seed index =>
+    // different jittered clock stream => different timings. Uncached
+    // runs, so the two equal specs really simulate twice.
+    std::vector<ExperimentSpec> specs = {
+        seeded("gsm", 7), seeded("gsm", 7), seeded("gsm", 8)};
+    auto results = ParallelSweep(3).map<SimStats>(
+        specs.size(),
+        [&](std::size_t i) { return runExperiment(specs[i]); });
+    expectIdenticalStats(results[0], results[1]);
+    EXPECT_NE(results[0].time, results[2].time);
 }
 
-TEST(ParallelSweep, AggregationIsIndependentOfCompletionOrder)
+TEST_F(ParallelSweepRuns, AggregationIsIndependentOfCompletionOrder)
 {
     // Aggregate the same batch through the metrics layer from result
     // vectors produced under different worker counts (and hence
-    // different completion orders): because results land in job order,
-    // every floating-point accumulation is performed in the same
-    // sequence and the aggregate is bit-identical.
-    auto jobs = tinyJobs();
-    std::vector<SweepJob> ad_jobs;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::string name = jobs[i].label;
-        ad_jobs.push_back({name, tinyConfig(), i, [name](Runner &r) {
-                               return r.runAttackDecay(
-                                   name, AttackDecayConfig{});
-                           }});
-    }
+    // different completion orders): because results land in spec
+    // order, every floating-point accumulation is performed in the
+    // same sequence and the aggregate is bit-identical.
+    auto specs = tinySpecs();
+    auto ad_specs = tinySpecs(attackDecaySpec(AttackDecayConfig{}));
 
     auto aggregate = [&](int workers) {
-        ParallelSweep sweep(workers);
-        auto base = sweep.run(jobs);
-        auto variant = sweep.run(ad_jobs);
+        auto base = runCold(specs, workers);
+        auto variant = runExperiments(ad_specs, workers);
         std::vector<ComparisonMetrics> all;
         for (std::size_t i = 0; i < base.size(); ++i)
-            all.push_back(compare(base[i].stats, variant[i].stats));
+            all.push_back(compare(base[i], variant[i]));
         return std::pair<double, double>(
             meanOf(all, &ComparisonMetrics::energySavings),
             powerPerfRatio(all));
@@ -227,21 +243,25 @@ TEST(ParallelSweep, AggregationIsIndependentOfCompletionOrder)
     EXPECT_EQ(ppr1, ppr7);
 }
 
-TEST(ParallelSweep, OfflineSearchIsBitIdenticalForAnyWorkerCount)
+TEST_F(ParallelSweepRuns, OfflineSearchIsBitIdenticalForAnyWorkerCount)
 {
     // The offline Dynamic-X% margin search fans its schedule probes
     // through the engine; its result must not depend on the worker
-    // count either.
+    // count either. Each search starts from a cold cache, so its
+    // probes really run on that many workers.
     auto search = [](int jobs) {
-        RunnerConfig config;
-        config.instructions = 8000;
-        config.warmup = 2000;
-        config.intervalInstructions = 500;
+        ArtifactCache &cache = ArtifactCache::instance();
+        cache.clear();
+        RunnerConfig config = tinyConfig();
         config.jobs = jobs;
-        Runner runner(config);
-        std::vector<IntervalProfile> profile;
-        SimStats mcd = runner.runMcdBaseline("gsm", &profile);
-        return runner.runOfflineDynamic("gsm", 0.05, mcd, profile);
+        ProfileSpec baseline{.benchmark = "gsm", .config = config};
+        std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
+        SimStats mcd = cache.getOrRun(baseline.experimentSpec());
+        return cache.getOrRun(OfflineSearchSpec{.benchmark = "gsm",
+                                                .targetDeg = 0.05,
+                                                .mcdBase = mcd,
+                                                .profile = profile,
+                                                .config = config});
     };
 
     OfflineResult serial = search(1);

@@ -420,6 +420,8 @@ TEST(ServeDaemon, StoreWriteFailureIsInternalAndDaemonSurvives)
 
     json::Value pong = callOne(client, "{\"op\": \"ping\"}");
     EXPECT_EQ("pong", pong.getString("event"));
+    // The failed fetch retired its in-flight slot.
+    EXPECT_EQ(0u, daemon.cache().inflightEntries());
     fs::remove_all(root);
 }
 
