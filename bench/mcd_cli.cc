@@ -395,7 +395,8 @@ tournamentCli(const std::vector<std::string> &scenario_args,
     if (!validateTournament(options, &error))
         mcd_fatal("%s", error.c_str());
 
-    TournamentResult result = runTournament(options);
+    TournamentResult result =
+        runTournament(options, ArtifactCache::instance());
 
     if (json) {
         // The shared renderer (also behind the daemon's `tournament`

@@ -61,6 +61,13 @@ envString(const char *name, const std::string &fallback)
     return s;
 }
 
+bool
+envFlag(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v != nullptr && v[0] != '\0' && v[0] != '0';
+}
+
 std::vector<std::string>
 splitList(const std::string &text, char separator)
 {

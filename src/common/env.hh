@@ -44,6 +44,10 @@ std::uint64_t envU64(const char *name, std::uint64_t fallback,
 std::string envString(const char *name,
                       const std::string &fallback = "");
 
+/** Whether on/off switch `name` (MCD_PROF, MCD_LOG_JSON) is on: set,
+ *  non-empty, and not starting with '0'. Read on every call. */
+bool envFlag(const char *name);
+
 /**
  * Split environment variable `name` on commas, dropping empty items.
  * Returns an empty vector when the variable is unset or holds no

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hh"
 #include "telemetry/events.hh"
 #include "telemetry/stat_registry.hh"
 
@@ -14,16 +15,6 @@ namespace mcd
 
 namespace
 {
-
-// MCD_LOG_JSON=1 switches warn/inform to one-line JSON records so
-// daemon and batch-tool stderr is machine-parseable. Checked live
-// (not cached): log calls are never hot, and tests flip the variable.
-bool
-logJson()
-{
-    const char *v = std::getenv("MCD_LOG_JSON");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 std::string
 jsonEscape(const std::string &s)
@@ -55,7 +46,10 @@ jsonEscape(const std::string &s)
 void
 emitLog(std::FILE *stream, const char *level, const std::string &msg)
 {
-    if (!logJson()) {
+    // MCD_LOG_JSON switches to one-line JSON records, so daemon and
+    // batch-tool stderr is machine-parseable. Checked live: log calls
+    // are never hot, and tests flip the variable.
+    if (!envFlag("MCD_LOG_JSON")) {
         std::fprintf(stream, "%s: %s\n", level, msg.c_str());
         return;
     }

@@ -19,11 +19,10 @@ namespace
 /** One scenario's column: profile, oracle, one trace per entry. */
 std::vector<TournamentCell>
 scoreScenario(const std::string &scenario,
-              const TournamentOptions &options)
+              const TournamentOptions &options, ArtifactCache &cache)
 {
     RunnerConfig config = options.config;
     config.jobs = 1; // parallelism lives at the scenario level
-    ArtifactCache &cache = ArtifactCache::instance();
 
     ProfileSpec baseline{.benchmark = scenario, .config = config};
     std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
@@ -179,7 +178,7 @@ validateTournament(const TournamentOptions &options, std::string *error)
 }
 
 TournamentResult
-runTournament(const TournamentOptions &options)
+runTournament(const TournamentOptions &options, ArtifactCache &cache)
 {
     // Scenario columns fan out across the sweep workers; each column
     // is serial inside. Collation is in scenario order, controllers
@@ -188,7 +187,7 @@ runTournament(const TournamentOptions &options)
     ParallelSweep sweep(options.config.jobs);
     auto columns = sweep.map<std::vector<TournamentCell>>(
         options.scenarios.size(), [&](std::size_t i) {
-            return scoreScenario(options.scenarios[i], options);
+            return scoreScenario(options.scenarios[i], options, cache);
         });
 
     TournamentResult result;

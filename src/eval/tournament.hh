@@ -6,8 +6,8 @@
  * tracking regret, reaction latency, outcome gaps; src/eval/regret.hh)
  * and rank the controllers in a deterministic league table.
  *
- * Every product resolves through the process-wide ArtifactCache —
- * the profiling pass and baseline per scenario, the whole offline
+ * Every product resolves through the ArtifactCache the caller passes
+ * — the profiling pass and baseline per scenario, the whole offline
  * search, and one EvalTrace per cell — so a warm store replays an
  * entire tournament with zero simulations and byte-identical output.
  * Scenario columns fan out across the ParallelSweep workers
@@ -101,9 +101,10 @@ std::vector<TournamentEntry> defaultTournamentEntries();
 bool validateTournament(const TournamentOptions &options,
                         std::string *error);
 
-/** Run the full cross-product of validated options; deterministic for
- *  any worker count. */
-TournamentResult runTournament(const TournamentOptions &options);
+/** Run the full cross-product of validated options, resolving every
+ *  product through `cache`; deterministic for any worker count. */
+TournamentResult runTournament(const TournamentOptions &options,
+                               ArtifactCache &cache);
 
 /** Render the per-cell table + league table as text (mcd_cli's
  *  non-JSON output; byte-stable across runs and worker counts). */

@@ -92,7 +92,7 @@ TraceSpec::build(ArtifactCache &cache) const
     auto instance = ControllerRegistry::instance().create(controller);
     EvalTrace trace;
     trace.stats = simulate(
-        config, benchmark, ClockMode::Mcd, config.dvfs.freqMax,
+        cache, config, benchmark, ClockMode::Mcd, config.dvfs.freqMax,
         instance.get(),
         [&](const IntervalStats &stats) {
             TracePoint point;

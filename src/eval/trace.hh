@@ -7,10 +7,10 @@
  * queue utilization, plus interval IPC and on-chip energy — alongside
  * the frequency the offline Dynamic-X% oracle chose for that interval.
  * It is a first-class versioned artifact (`ArtifactTraits<EvalTrace>`)
- * requested through a `TraceSpec` and resolved by the process-wide
- * `ArtifactCache` via its generic spec path, so traces share the
- * layered memory-over-disk store, dedup across processes, and replay
- * from a warm store with zero simulations like every other experiment
+ * requested through a `TraceSpec` and resolved by an `ArtifactCache`
+ * via its generic spec path, so traces share the layered
+ * memory-over-disk store, dedup across processes, and replay from a
+ * warm store with zero simulations like every other experiment
  * product.
  *
  * Intervals are recorded from the measurement boundary (methodology

@@ -3,8 +3,8 @@
  * Warm-up checkpoints as first-class artifacts. A `CheckpointSpec`
  * names one point of one run's uncontrolled prefix — benchmark,
  * machine mode, start frequency, commit-count target, methodology —
- * and resolves through the process-wide `ArtifactCache` to a
- * `SimCheckpoint`: the exact serialized machine
+ * and resolves through the `ArtifactCache` of the run that asks for
+ * it to a `SimCheckpoint`: the exact serialized machine
  * (`Simulator::saveCheckpoint`) at that point.
  *
  * The bit-identity contract: restoring a checkpoint and running on is

@@ -47,10 +47,10 @@ describeController(const ControllerSpec &controller)
 // comparators probe synchronous operating points, and the full-speed
 // point in particular is a baseline every figure shares.
 SimStats
-cachedSynchronous(const RunnerConfig &config, const std::string &bench,
-                  Hertz freq)
+cachedSynchronous(ArtifactCache &cache, const RunnerConfig &config,
+                  const std::string &bench, Hertz freq)
 {
-    return ArtifactCache::instance().getOrRun(
+    return cache.getOrRun(
         ExperimentSpec{.benchmark = bench,
                        .mode = ClockMode::Synchronous,
                        .startFreq = freq,
@@ -94,7 +94,7 @@ ExperimentSpec::describe() const
 SimStats
 ExperimentSpec::build(ArtifactCache &cache) const
 {
-    SimStats stats = runExperiment(*this);
+    SimStats stats = runExperiment(*this, {}, cache);
     cache.noteSimulation();
     return stats;
 }
@@ -136,7 +136,7 @@ ProfileSpec::build(ArtifactCache &cache) const
     // the paired experiment key so requesting both costs one run.
     ExperimentSpec run = experimentSpec();
     auto controller = ControllerRegistry::instance().create(run.controller);
-    SimStats stats = simulate(config, benchmark, run.mode,
+    SimStats stats = simulate(cache, config, benchmark, run.mode,
                               run.resolvedStartFreq(), controller.get());
     cache.noteSimulation();
     cache.publish(run.cacheKey(), encodeArtifact(stats), run.describe());
@@ -180,7 +180,7 @@ OfflineSearchSpec::describe() const
 }
 
 OfflineResult
-OfflineSearchSpec::build(ArtifactCache &) const
+OfflineSearchSpec::build(ArtifactCache &cache) const
 {
     DvfsModel dvfs(config.dvfs);
     double t_base = static_cast<double>(mcdBase.time);
@@ -191,9 +191,9 @@ OfflineSearchSpec::build(ArtifactCache &) const
 
     // Every probe is an independent schedule replay of the same
     // benchmark; batches fan out across the sweep engine's workers
-    // through the process-wide ArtifactCache, so a margin probed by an
-    // earlier search of the same benchmark (the coarse grids of
-    // Dynamic-1% and Dynamic-5% coincide) replays only once. Probes
+    // through `cache`, so a margin probed by an earlier search of the
+    // same benchmark (the coarse grids of Dynamic-1% and Dynamic-5%
+    // coincide) replays only once. Probes
     // deliberately keep this spec's clock seed (no per-job
     // derivation): degradation is measured against `mcdBase`, which
     // consumed exactly that clock stream.
@@ -216,7 +216,7 @@ OfflineSearchSpec::build(ArtifactCache &) const
             spec.config = config;
             specs.push_back(std::move(spec));
         }
-        auto stats = runExperiments(specs, config.jobs);
+        auto stats = runExperiments(specs, config.jobs, cache);
         std::vector<Probe> probes(batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
             probes[i].margins = batch[i];
@@ -381,7 +381,7 @@ GlobalMatchSpec::describe() const
 }
 
 GlobalResult
-GlobalMatchSpec::build(ArtifactCache &) const
+GlobalMatchSpec::build(ArtifactCache &cache) const
 {
     const Hertz f_max = config.dvfs.freqMax;
     const Hertz f_min = config.dvfs.freqMin;
@@ -389,8 +389,8 @@ GlobalMatchSpec::build(ArtifactCache &) const
     // Fit T(f) = a + b/f from two calibration runs.
     Hertz f1 = f_max;
     Hertz f2 = 0.5 * (f_max + f_min);
-    SimStats s1 = cachedSynchronous(config, benchmark, f1);
-    SimStats s2 = cachedSynchronous(config, benchmark, f2);
+    SimStats s1 = cachedSynchronous(cache, config, benchmark, f1);
+    SimStats s2 = cachedSynchronous(cache, config, benchmark, f2);
     double t1 = static_cast<double>(s1.time);
     double t2 = static_cast<double>(s2.time);
     double b = (t2 - t1) / (1.0 / f2 - 1.0 / f1);
@@ -405,7 +405,7 @@ GlobalMatchSpec::build(ArtifactCache &) const
 
     double target = static_cast<double>(targetTime);
     Hertz f = solve(target);
-    SimStats stats = cachedSynchronous(config, benchmark, f);
+    SimStats stats = cachedSynchronous(cache, config, benchmark, f);
 
     // One secant refinement against the measured point.
     double t_f = static_cast<double>(stats.time);
@@ -415,8 +415,8 @@ GlobalMatchSpec::build(ArtifactCache &) const
         double denom = target - a;
         if (denom > 0.0 && b2 > 0.0) {
             Hertz f_refined = std::clamp(b2 / denom, f_min, f_max);
-            SimStats refined = cachedSynchronous(config, benchmark,
-                                                 f_refined);
+            SimStats refined = cachedSynchronous(cache, config,
+                                                 benchmark, f_refined);
             if (std::abs(static_cast<double>(refined.time) - target) <
                 std::abs(t_f - target)) {
                 stats = refined;
@@ -443,21 +443,23 @@ validateExperiment(const ExperimentSpec &spec, std::string *error)
 
 SimStats
 runExperiment(const ExperimentSpec &spec,
-              std::function<void(const IntervalStats &)> observer)
+              std::function<void(const IntervalStats &)> observer,
+              ArtifactCache &cache)
 {
     auto controller = ControllerRegistry::instance().create(
         spec.controller);
-    return simulate(spec.config, spec.benchmark, spec.mode,
+    return simulate(cache, spec.config, spec.benchmark, spec.mode,
                     spec.resolvedStartFreq(), controller.get(),
                     std::move(observer));
 }
 
 std::vector<SimStats>
-runExperiments(const std::vector<ExperimentSpec> &specs, int jobs)
+runExperiments(const std::vector<ExperimentSpec> &specs, int jobs,
+               ArtifactCache &cache)
 {
     ParallelSweep sweep(jobs);
     return sweep.map<SimStats>(specs.size(), [&](std::size_t i) {
-        return ArtifactCache::instance().getOrRun(specs[i]);
+        return cache.getOrRun(specs[i]);
     });
 }
 

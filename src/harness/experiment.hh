@@ -3,8 +3,8 @@
  * The declarative experiment layer, and the one API for running an
  * experiment. A typed request spec fully describes one experiment
  * product; `ArtifactCache::getOrRun(spec)` resolves it through a
- * process-wide, layered artifact cache, and `runExperiment(spec)` runs
- * an ExperimentSpec uncached:
+ * layered artifact cache, and `runExperiment(spec)` runs an
+ * ExperimentSpec uncached:
  *
  *   ExperimentSpec    -> SimStats                    (one simulation)
  *   ProfileSpec       -> std::vector<IntervalProfile> (the off-line
@@ -16,7 +16,10 @@
  *
  * Every spec declares its `Artifact` type and computes it on a miss
  * with `build(ArtifactCache &)`, the same contract extension specs
- * (harness/checkpoint.hh, eval/trace.hh) follow.
+ * (harness/checkpoint.hh, eval/trace.hh) follow. A build resolves
+ * every nested request (probes, warm-up checkpoints) through the
+ * cache it is handed, so all of a request's work lands in, and is
+ * counted by, the cache that asked for it.
  *
  * Each spec has an exact, namespaced `cacheKey()` covering every
  * field that can influence the result (raw IEEE-754 bytes for
@@ -60,8 +63,6 @@
 
 namespace mcd
 {
-
-class ArtifactCache;
 
 /** Everything needed to run (or memoize) one simulation. */
 struct ExperimentSpec
@@ -153,9 +154,8 @@ struct OfflineSearchSpec
      * chip energy. Parallel grid batches — coarse grid, bracketed
      * refinement, then per-domain refinement — fan across
      * `config.jobs` workers. Every probe is an ExperimentSpec resolved
-     * through the process-wide cache, so probes shared between
-     * searches (the coarse grids of Dynamic-1% and Dynamic-5%)
-     * simulate once and persist.
+     * through `cache`, so probes shared between searches (the coarse
+     * grids of Dynamic-1% and Dynamic-5%) simulate once and persist.
      */
     OfflineResult build(ArtifactCache &cache) const;
 };
@@ -183,7 +183,7 @@ struct GlobalMatchSpec
     std::string describe() const;
 
     /** The search; its synchronous probe runs are ExperimentSpecs
-     *  resolved through the process-wide cache. */
+     *  resolved through `cache`. */
     GlobalResult build(ArtifactCache &cache) const;
 };
 
@@ -191,23 +191,6 @@ struct GlobalMatchSpec
  *  work: the methodology passes RunnerConfig::check, the scenario
  *  resolves and the controller passes check(). */
 bool validateExperiment(const ExperimentSpec &spec, std::string *error);
-
-/** Run one ExperimentSpec directly, bypassing the cache; `observer`,
- *  when set, receives every measured interval (simulate()). */
-SimStats runExperiment(
-    const ExperimentSpec &spec,
-    std::function<void(const IntervalStats &)> observer = {});
-
-/**
- * Run a batch of specs fanned across ParallelSweep workers (`jobs` as
- * in RunnerConfig::jobs: 0 = default workers, 1 = serial), each
- * resolved through the process-wide ArtifactCache. Results are in
- * spec order and bit-identical for any worker count; duplicate specs
- * — within the batch or against anything cached earlier in the
- * process or persisted in the disk store — simulate only once.
- */
-std::vector<SimStats>
-runExperiments(const std::vector<ExperimentSpec> &specs, int jobs = 0);
 
 /**
  * The typed artifact cache: spec-keyed storage for every experiment
@@ -219,10 +202,14 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int jobs = 0);
  * `lookups() - hits()` artifacts were computed, of which
  * `simulationsRun()` required running the simulator.
  *
- * `instance()` is the process-wide cache every spec's nested requests
- * and every bench consumer resolve through; independently-constructed
- * instances are for tests (e.g. simulating a cold process against a
- * warm DiskStore).
+ * The cache is passed as context: a spec's build resolves its nested
+ * requests in the cache it is handed, never in another one. The
+ * process-wide `instance()` is for the edges — `mcd_cli`, the serve
+ * daemon's default, the defaults of runExperiment/runExperiments —
+ * and the only one that publishes its counters in the StatRegistry;
+ * independently-constructed instances are private caches (the serve
+ * daemon's `ServeOptions::cache`, tests emulating a cold process
+ * against a warm DiskStore).
  */
 class ArtifactCache
 {
@@ -405,6 +392,27 @@ class ArtifactCache
     telemetry::Counter sim_insns_;
     telemetry::Counter inflight_joins_;
 };
+
+/** Run one ExperimentSpec directly, bypassing the cache for the run
+ *  itself; `observer`, when set, receives every measured interval,
+ *  and `cache` resolves the warm-up checkpoint and counts the
+ *  instructions (simulate()). */
+SimStats runExperiment(
+    const ExperimentSpec &spec,
+    std::function<void(const IntervalStats &)> observer = {},
+    ArtifactCache &cache = ArtifactCache::instance());
+
+/**
+ * Run a batch of specs fanned across ParallelSweep workers (`jobs` as
+ * in RunnerConfig::jobs: 0 = default workers, 1 = serial), each
+ * resolved through `cache`. Results are in spec order and
+ * bit-identical for any worker count; duplicate specs — within the
+ * batch or against anything cached earlier in `cache` or persisted in
+ * its disk store — simulate only once.
+ */
+std::vector<SimStats>
+runExperiments(const std::vector<ExperimentSpec> &specs, int jobs = 0,
+               ArtifactCache &cache = ArtifactCache::instance());
 
 /**
  * The canonical `store:` stderr status line, e.g.

@@ -162,8 +162,8 @@ makeSimConfig(const RunnerConfig &config, ClockMode mode,
 }
 
 SimStats
-simulate(const RunnerConfig &config, const std::string &bench,
-         ClockMode mode, Hertz start_freq,
+simulate(ArtifactCache &cache, const RunnerConfig &config,
+         const std::string &bench, ClockMode mode, Hertz start_freq,
          FrequencyController *controller,
          std::function<void(const IntervalStats &)> observer)
 {
@@ -182,7 +182,7 @@ simulate(const RunnerConfig &config, const std::string &bench,
             // Resolve the warm-up prefix through the checkpoint
             // artifact; by the run-composition contract the restored
             // machine is bit-identical to having simulated it here.
-            SimCheckpoint ckpt = ArtifactCache::instance().getOrRun(
+            SimCheckpoint ckpt = cache.getOrRun(
                 CheckpointSpec{.benchmark = bench,
                                .mode = mode,
                                .startFreq = start_freq,
@@ -202,8 +202,7 @@ simulate(const RunnerConfig &config, const std::string &bench,
     if (observer)
         sim.setIntervalObserver(std::move(observer));
     sim.run(config.instructions);
-    ArtifactCache::instance().noteInstructions(sim.committed() -
-                                               stepped_from);
+    cache.noteInstructions(sim.committed() - stepped_from);
     return sim.stats();
 }
 

@@ -27,6 +27,8 @@
 namespace mcd
 {
 
+class ArtifactCache;
+
 /** Shared measurement methodology for a set of experiments. */
 struct RunnerConfig
 {
@@ -62,7 +64,7 @@ struct RunnerConfig
      * Root directory of the persistent artifact store ("" = in-memory
      * only). When set — directly, via `MCD_STORE`, or via `mcd_cli
      * --store` — every artifact request made with this config attaches
-     * the process-wide ArtifactCache's disk layer to it, so results
+     * the disk layer of the ArtifactCache resolving it, so results
      * persist across processes. Like `jobs`, this is excluded from
      * cache keys: where a result is stored never changes its value.
      */
@@ -139,7 +141,9 @@ struct GlobalResult
  * `bench` under the methodology and machine of `config`, in clock
  * `mode` starting at `start_freq`, with `controller` (null =
  * uncontrolled). `observer`, when set, receives every measured
- * interval.
+ * interval. The warm-up checkpoint (when `config.checkpointEvery` is
+ * set) resolves through `cache`, and the instructions stepped are
+ * credited there.
  *
  * Methodology v2: the warm-up prefix always runs uncontrolled
  * (domains at the start frequency); the controller and the interval
@@ -149,8 +153,9 @@ struct GlobalResult
  * every controller — which is what lets `checkpointEvery` fast-forward
  * all of a figure's variants from one stored snapshot.
  */
-SimStats simulate(const RunnerConfig &config, const std::string &bench,
-                  ClockMode mode, Hertz start_freq,
+SimStats simulate(ArtifactCache &cache, const RunnerConfig &config,
+                  const std::string &bench, ClockMode mode,
+                  Hertz start_freq,
                   FrequencyController *controller,
                   std::function<void(const IntervalStats &)> observer = {});
 

@@ -86,9 +86,8 @@ struct ServeOptions
      *  the persistent layer (the `--store` flag funnels in here). */
     RunnerConfig config;
 
-    /** Cache to serve from; nullptr = ArtifactCache::instance().
-     *  Tests inject private instances; note the `tournament` verb's
-     *  eval machinery always resolves through instance(). */
+    /** Cache to serve from; nullptr = the process-wide instance().
+     *  Tests inject private instances. */
     ArtifactCache *cache = nullptr;
 
     /** JSONL request-trace path (`--events` / MCD_EVENTS). Every

@@ -1,8 +1,9 @@
 #include "telemetry/profiler.hh"
 
 #include <array>
-#include <cstdlib>
 #include <string>
+
+#include "common/env.hh"
 
 namespace mcd
 {
@@ -11,13 +12,6 @@ namespace telemetry
 
 namespace
 {
-
-bool
-envProfiling()
-{
-    const char *v = std::getenv("MCD_PROF");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 std::array<Histogram *, NUM_PHASES> &
 histograms()
@@ -40,7 +34,7 @@ histograms()
 
 } // namespace
 
-bool g_profiling = envProfiling();
+bool g_profiling = envFlag("MCD_PROF");
 
 const char *
 phaseName(Phase p)

@@ -76,15 +76,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-std::string
-promName(const std::string &path)
-{
-    std::string out = "mcd_";
-    for (char c : path)
-        out += (c == '.' || c == '-') ? '_' : c;
-    return out;
-}
-
 } // namespace
 
 double
@@ -376,36 +367,6 @@ StatRegistry::renderJson(const std::vector<StatValue> &stats)
         }
     }
     out += first ? "}" : "\n}";
-    return out;
-}
-
-std::string
-StatRegistry::renderPrometheus(const std::vector<StatValue> &stats)
-{
-    std::string out;
-    for (const StatValue &s : stats) {
-        std::string name = promName(s.path);
-        switch (s.kind) {
-          case StatValue::Kind::Counter:
-            out += fmt("# TYPE %s counter\n", name.c_str());
-            out += fmt("%s %" PRIu64 "\n", name.c_str(), s.counter);
-            break;
-          case StatValue::Kind::Gauge:
-            out += fmt("# TYPE %s gauge\n", name.c_str());
-            out += fmt("%s %" PRId64 "\n", name.c_str(), s.gauge);
-            break;
-          case StatValue::Kind::Histogram:
-            out += fmt("# TYPE %s summary\n", name.c_str());
-            for (double q : {0.5, 0.95, 0.99})
-                out += fmt("%s{quantile=\"%g\"} %s\n", name.c_str(),
-                           q, num(s.hist.quantile(q)).c_str());
-            out += fmt("%s_sum %" PRIu64 "\n", name.c_str(),
-                       s.hist.sum);
-            out += fmt("%s_count %" PRIu64 "\n", name.c_str(),
-                       s.hist.count);
-            break;
-        }
-    }
     return out;
 }
 

@@ -7,7 +7,7 @@
  * "serve.request.queue_ns", "pool.tasks"). Updates are relaxed
  * atomics — cheap enough for per-request and per-task paths — and a
  * snapshot is a point-in-time read of every stat, renderable as a
- * text table, JSON, or Prometheus-style exposition text.
+ * text table or JSON.
  *
  * Two ownership models coexist:
  *
@@ -210,12 +210,6 @@ class StatRegistry
     /** One flat JSON object keyed by dotted path, sorted; histograms
      *  become {count,sum,min,max,mean,p50,p95,p99}. */
     static std::string renderJson(const std::vector<StatValue> &stats);
-
-    /** Prometheus exposition text: counters/gauges as-is, histograms
-     *  as summaries (quantile labels + _sum/_count). Dots become
-     *  underscores and every name gains the `mcd_` prefix. */
-    static std::string
-    renderPrometheus(const std::vector<StatValue> &stats);
 
   private:
     struct Entry

@@ -499,15 +499,11 @@ TEST_F(StoreTest, ProfilingPassYieldsBothArtifactsFromOneSimulation)
 
 TEST_F(StoreTest, OfflineSearchResultPersistsAcrossProcesses)
 {
-    // Through the singleton (a search's probes resolve via
-    // instance()): warm disk must serve the whole search — result and
-    // probes — with zero simulations after a clear() "process restart".
-    ArtifactCache &cache = ArtifactCache::instance();
-    cache.clear();
-    cache.detachDiskStore();
-
+    // A search's probes resolve in the cache that runs it: a fresh
+    // cache over the warm disk (a process restart) must serve the
+    // whole search — result and probes — with zero simulations.
     ProfileSpec baseline{.benchmark = "gsm", .config = tinySpec().config};
-    auto search = [&](SimStats &mcd) {
+    auto search = [&](ArtifactCache &cache, SimStats &mcd) {
         std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
         mcd = cache.getOrRun(baseline.experimentSpec());
         return cache.getOrRun(OfflineSearchSpec{.benchmark = "gsm",
@@ -516,22 +512,20 @@ TEST_F(StoreTest, OfflineSearchResultPersistsAcrossProcesses)
                                                 .profile = profile,
                                                 .config = baseline.config});
     };
+    ArtifactCache first;
     SimStats mcd;
-    OfflineResult cold = search(mcd);
-    EXPECT_GT(cache.simulationsRun(), 0u);
+    OfflineResult cold = search(first, mcd);
+    EXPECT_GT(first.simulationsRun(), 0u);
 
-    cache.clear(); // cold process, warm disk
+    ArtifactCache restarted; // cold process, warm disk
     SimStats mcd2;
-    OfflineResult warm = search(mcd2);
-    EXPECT_EQ(cache.simulationsRun(), 0u);
-    EXPECT_GT(cache.diskHits(), 0u);
+    OfflineResult warm = search(restarted, mcd2);
+    EXPECT_EQ(restarted.simulationsRun(), 0u);
+    EXPECT_GT(restarted.diskHits(), 0u);
     EXPECT_EQ(warm.margin, cold.margin);
     EXPECT_EQ(warm.achievedDeg, cold.achievedDeg);
     EXPECT_EQ(warm.stats.time, cold.stats.time);
     EXPECT_EQ(mcd2.time, mcd.time);
-
-    cache.clear();
-    cache.detachDiskStore();
 }
 
 TEST_F(StoreTest, CacheWritesProvenanceSidecars)
@@ -581,10 +575,6 @@ TEST_F(StoreTest, MidProcessStoreRootSwapIsFatal)
 
 TEST_F(StoreTest, GlobalMatchResultPersistsAcrossProcesses)
 {
-    ArtifactCache &cache = ArtifactCache::instance();
-    cache.clear();
-    cache.detachDiskStore();
-
     RunnerConfig config = tinySpec().config;
     SimStats sync = runExperiment({.benchmark = "gsm",
                                    .mode = ClockMode::Synchronous,
@@ -594,17 +584,15 @@ TEST_F(StoreTest, GlobalMatchResultPersistsAcrossProcesses)
         .targetTime =
             static_cast<Tick>(static_cast<double>(sync.time) * 1.05),
         .config = config};
-    GlobalResult cold = cache.getOrRun(spec);
-    EXPECT_GT(cache.simulationsRun(), 0u);
+    ArtifactCache first;
+    GlobalResult cold = first.getOrRun(spec);
+    EXPECT_GT(first.simulationsRun(), 0u);
 
-    cache.clear();
-    GlobalResult warm = cache.getOrRun(spec);
-    EXPECT_EQ(cache.simulationsRun(), 0u);
+    ArtifactCache restarted; // cold process, warm disk
+    GlobalResult warm = restarted.getOrRun(spec);
+    EXPECT_EQ(restarted.simulationsRun(), 0u);
     EXPECT_EQ(warm.freq, cold.freq);
     EXPECT_EQ(warm.stats.time, cold.stats.time);
-
-    cache.clear();
-    cache.detachDiskStore();
 }
 
 } // namespace

@@ -77,19 +77,9 @@ class CheckpointTest : public ::testing::Test
                   "." + std::to_string(::getpid())))
                     .string();
         fs::remove_all(root_);
-        // simulate() resolves checkpoints through the process-wide
-        // cache; start (and leave) it empty and memory-only.
-        ArtifactCache::instance().clear();
-        ArtifactCache::instance().detachDiskStore();
     }
 
-    void
-    TearDown() override
-    {
-        ArtifactCache::instance().clear();
-        ArtifactCache::instance().detachDiskStore();
-        fs::remove_all(root_);
-    }
+    void TearDown() override { fs::remove_all(root_); }
 
     /** Flip one byte in the middle of a store entry file. */
     static void
@@ -329,17 +319,12 @@ TEST_F(CheckpointTest, CheckpointsAreSharedAcrossControllers)
         "gsm", attackDecaySpec(AttackDecayConfig{}));
     controlled.config.checkpointEvery = 1000;
 
-    ArtifactCache &shared = ArtifactCache::instance();
-    std::uint64_t before = shared.simulatedInstructions();
+    ArtifactCache cache;
+    cache.getOrRun(uncontrolled);
+    std::uint64_t cold = cache.simulatedInstructions();
 
-    ArtifactCache uncontrolled_cache;
-    uncontrolled_cache.getOrRun(uncontrolled);
-    std::uint64_t cold = shared.simulatedInstructions() - before;
-
-    ArtifactCache controlled_cache;
-    controlled_cache.getOrRun(controlled);
-    std::uint64_t resumed =
-        shared.simulatedInstructions() - before - cold;
+    cache.getOrRun(controlled);
+    std::uint64_t resumed = cache.simulatedInstructions() - cold;
 
     // Cold pays warm-up + measurement; the resumed run pays only the
     // measured window (plus retire-width slop).

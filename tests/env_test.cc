@@ -2,7 +2,7 @@
  * @file
  * Edge-case tests for the shared MCD_* environment parsing helpers
  * (src/common/env.hh): malformed values, minimum bounds, permitted
- * zeros, and comma-list splitting.
+ * zeros, on/off flags, and comma-list splitting.
  */
 
 #include <gtest/gtest.h>
@@ -39,6 +39,23 @@ TEST_F(EnvTest, EmptyStringKeepsFallback)
     set("");
     EXPECT_EQ(envInt64(VAR, 42), 42);
     EXPECT_TRUE(envList(VAR).empty());
+}
+
+TEST_F(EnvTest, FlagIsOnWhenSetNonEmptyAndNotLeadingZero)
+{
+    EXPECT_FALSE(envFlag(VAR));
+    set("");
+    EXPECT_FALSE(envFlag(VAR));
+    set("0");
+    EXPECT_FALSE(envFlag(VAR));
+    set("01");
+    EXPECT_FALSE(envFlag(VAR));
+    set("1");
+    EXPECT_TRUE(envFlag(VAR));
+    set("yes");
+    EXPECT_TRUE(envFlag(VAR));
+    unsetenv(VAR); // read on every call, never cached
+    EXPECT_FALSE(envFlag(VAR));
 }
 
 TEST_F(EnvTest, ParsesPlainIntegers)

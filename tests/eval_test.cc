@@ -347,7 +347,8 @@ TEST(Tournament, AdversarialScenarioSeparatesAttackDecayFromOracle)
     options.controllers = {defaultTournamentEntries().front()};
     options.config = tinyConfig();
 
-    TournamentResult result = runTournament(options);
+    ArtifactCache cache;
+    TournamentResult result = runTournament(options, cache);
     ASSERT_EQ(result.cells.size(), 2u);
     const TournamentCell &adversarial = result.cells[0];
     const TournamentCell &paper = result.cells[1];
@@ -365,7 +366,6 @@ TEST(Tournament, AdversarialScenarioSeparatesAttackDecayFromOracle)
  */
 TEST_F(EvalStoreTest, TournamentIsWorkerCountInvariantAndWarmRenderIsFree)
 {
-    ArtifactCache &cache = ArtifactCache::instance();
     TournamentOptions options;
     options.scenarios = {"synthetic:square=1000,mem=0.5",
                          "synthetic:markov=8,mem=0.5"};
@@ -377,34 +377,33 @@ TEST_F(EvalStoreTest, TournamentIsWorkerCountInvariantAndWarmRenderIsFree)
         std::string text;
         std::string json;
     };
-    // Each render starts from a fresh cache over `store`.
-    auto render = [&](int jobs, const std::string &store) {
-        cache.detachDiskStore();
-        cache.clear();
+    // Each render gets a fresh cache over `store`.
+    auto render = [&](ArtifactCache &cache, int jobs,
+                      const std::string &store) {
         options.config.jobs = jobs;
         options.config.store = store;
-        TournamentResult result = runTournament(options);
+        TournamentResult result = runTournament(options, cache);
         return Rendered{renderTournament(result),
                         renderTournamentJson(options, result)};
     };
 
-    Rendered serial = render(1, dir_ + "/store-serial");
-    EXPECT_GT(cache.simulationsRun(), 0u);
+    ArtifactCache serial_cache;
+    Rendered serial = render(serial_cache, 1, dir_ + "/store-serial");
+    EXPECT_GT(serial_cache.simulationsRun(), 0u);
     EXPECT_NE(serial.text.find("league table"), std::string::npos);
 
-    Rendered wide = render(4, dir_ + "/store-wide");
-    EXPECT_GT(cache.simulationsRun(), 0u);
+    ArtifactCache wide_cache;
+    Rendered wide = render(wide_cache, 4, dir_ + "/store-wide");
+    EXPECT_GT(wide_cache.simulationsRun(), 0u);
     EXPECT_EQ(wide.text, serial.text);
     EXPECT_EQ(wide.json, serial.json);
 
-    Rendered warm = render(4, dir_ + "/store-wide");
-    EXPECT_EQ(cache.simulationsRun(), 0u);
-    EXPECT_GT(cache.diskHits(), 0u);
+    ArtifactCache warm_cache;
+    Rendered warm = render(warm_cache, 4, dir_ + "/store-wide");
+    EXPECT_EQ(warm_cache.simulationsRun(), 0u);
+    EXPECT_GT(warm_cache.diskHits(), 0u);
     EXPECT_EQ(warm.text, serial.text);
     EXPECT_EQ(warm.json, serial.json);
-
-    cache.detachDiskStore();
-    cache.clear();
 }
 
 } // namespace

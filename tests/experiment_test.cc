@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the declarative experiment layer: ExperimentSpec cache
- * keys, the ControllerRegistry, the process-wide ArtifactCache (hit/miss
- * behavior, shared baselines, batch dedup), and the fewer-total-
- * simulations property of figure-style sweeps run in one process.
+ * keys, the ControllerRegistry, the ArtifactCache (hit/miss behavior,
+ * shared baselines, batch dedup, nested work staying in the cache that
+ * asked for it), and the fewer-total-simulations property of
+ * figure-style sweeps run in one process.
  */
 
 #include <gtest/gtest.h>
@@ -56,8 +57,7 @@ profilingSpec()
 class ArtifactCacheTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { ArtifactCache::instance().clear(); }
-    void TearDown() override { ArtifactCache::instance().clear(); }
+    ArtifactCache cache;
 };
 
 // ---------------------------------------------------------- cache keys
@@ -421,7 +421,6 @@ TEST(ExperimentSpec, ValidateChecksScenarioAndController)
 
 TEST_F(ArtifactCacheTest, MissThenHit)
 {
-    ArtifactCache &cache = ArtifactCache::instance();
     ExperimentSpec spec = tinySpec("gsm");
 
     SimStats first = cache.getOrRun(spec);
@@ -438,7 +437,7 @@ TEST_F(ArtifactCacheTest, MissThenHit)
     EXPECT_EQ(first.time, second.time);
     EXPECT_EQ(first.chipEnergy, second.chipEnergy);
 
-    SimStats fresh = runExperiment(spec);
+    SimStats fresh = runExperiment(spec, {}, cache);
     EXPECT_EQ(first.time, fresh.time);
     EXPECT_EQ(first.chipEnergy, fresh.chipEnergy);
     EXPECT_EQ(first.feCycles, fresh.feCycles);
@@ -446,7 +445,6 @@ TEST_F(ArtifactCacheTest, MissThenHit)
 
 TEST_F(ArtifactCacheTest, DistinctSpecsMissIndependently)
 {
-    ArtifactCache &cache = ArtifactCache::instance();
     cache.getOrRun(tinySpec("gsm"));
     cache.getOrRun(tinySpec("adpcm"));
     EXPECT_EQ(cache.simulationsRun(), 2u);
@@ -459,7 +457,6 @@ TEST_F(ArtifactCacheTest, SeedMatchedVariantsShareACachedBaseline)
     // Attack/Decay against the MCD baseline, and a sweep comparing a
     // schedule replay against the same baseline — request the same
     // seed-matched baseline spec. It must simulate exactly once.
-    ArtifactCache &cache = ArtifactCache::instance();
     RunnerConfig seeded = tinyConfig();
     seeded.clockSeed = deriveJobSeed(seeded.clockSeed, 3);
 
@@ -482,18 +479,17 @@ TEST_F(ArtifactCacheTest, SeedMatchedVariantsShareACachedBaseline)
 
 TEST_F(ArtifactCacheTest, BatchDeduplicatesAgainstItselfAndTheCache)
 {
-    ArtifactCache &cache = ArtifactCache::instance();
     ExperimentSpec spec = tinySpec("gsm");
 
     std::vector<ExperimentSpec> batch = {spec, spec, spec};
-    auto results = runExperiments(batch, 2);
+    auto results = runExperiments(batch, 2, cache);
     EXPECT_EQ(results.size(), 3u);
     EXPECT_EQ(cache.simulationsRun(), 1u);
     EXPECT_EQ(results[0].time, results[1].time);
     EXPECT_EQ(results[0].time, results[2].time);
 
     // A later batch containing the same spec is served from cache.
-    auto again = runExperiments({spec}, 1);
+    auto again = runExperiments({spec}, 1, cache);
     EXPECT_EQ(cache.simulationsRun(), 1u);
     EXPECT_EQ(again[0].time, results[0].time);
 }
@@ -505,7 +501,6 @@ TEST_F(ArtifactCacheTest, InflightMapDrainsOnceRequestsResolve)
     // requested. The map must be empty whenever no request is active —
     // including after concurrent batches, repeats, and nested
     // (search-probe) requests.
-    ArtifactCache &cache = ArtifactCache::instance();
     EXPECT_EQ(cache.inflightEntries(), 0u);
 
     std::vector<ExperimentSpec> batch;
@@ -513,7 +508,7 @@ TEST_F(ArtifactCacheTest, InflightMapDrainsOnceRequestsResolve)
         batch.push_back(tinySpec(bench));
         batch.push_back(tinySpec(bench)); // duplicates share a flight
     }
-    runExperiments(batch, 4);
+    runExperiments(batch, 4, cache);
     EXPECT_EQ(cache.inflightEntries(), 0u);
     EXPECT_EQ(cache.size(), 3u);
 
@@ -537,8 +532,8 @@ TEST_F(ArtifactCacheTest, InflightMapDrainsOnceRequestsResolve)
 
 TEST_F(ArtifactCacheTest, SyntheticScenariosRunThroughTheLayer)
 {
-    SimStats stats = ArtifactCache::instance().getOrRun(
-        tinySpec("synthetic:mem=0.9,ilp=4,phases=4"));
+    SimStats stats =
+        cache.getOrRun(tinySpec("synthetic:mem=0.9,ilp=4,phases=4"));
     EXPECT_EQ(stats.instructions, tinyConfig().instructions);
     EXPECT_GT(stats.time, 0u);
 }
@@ -553,7 +548,6 @@ TEST_F(ArtifactCacheTest, SyntheticScenariosRunThroughTheLayer)
  */
 TEST_F(ArtifactCacheTest, FigureStyleSweepsIssueStrictlyFewerSimulations)
 {
-    ArtifactCache &cache = ArtifactCache::instance();
     RunnerConfig base = tinyConfig();
     std::vector<std::string> names = {"gsm", "em3d"};
 
@@ -583,14 +577,15 @@ TEST_F(ArtifactCacheTest, FigureStyleSweepsIssueStrictlyFewerSimulations)
     auto runSweep = [&](const AttackDecayConfig &adc) {
         naive += names.size();
         runExperiments(seedMatched(attackDecaySpec(adc),
-                                   ClockMode::Mcd), 1);
+                                   ClockMode::Mcd), 1, cache);
     };
 
     // Baselines, as computeBaselines issues them.
     naive += 2 * names.size();
-    runExperiments(seedMatched(profilingSpec(), ClockMode::Mcd), 1);
+    runExperiments(seedMatched(profilingSpec(), ClockMode::Mcd), 1,
+                   cache);
     runExperiments(seedMatched(ControllerSpec{},
-                               ClockMode::Synchronous), 1);
+                               ClockMode::Synchronous), 1, cache);
 
     // fig6(a)-style decay sweep and fig6(b)-style reaction sweep: the
     // (0.015, 0.04, 0.0075, 0.03) point appears in both.
@@ -621,7 +616,6 @@ TEST_F(ArtifactCacheTest, FigureStyleSweepsIssueStrictlyFewerSimulations)
  */
 TEST_F(ArtifactCacheTest, OfflineSearchesShareCoarseProbes)
 {
-    ArtifactCache &cache = ArtifactCache::instance();
     ProfileSpec baseline{.benchmark = "gsm", .config = tinyConfig()};
     std::vector<IntervalProfile> profile = cache.getOrRun(baseline);
     OfflineSearchSpec search{.benchmark = "gsm",
@@ -643,6 +637,54 @@ TEST_F(ArtifactCacheTest, OfflineSearchesShareCoarseProbes)
     // The second search re-probes the identical coarse grid (and
     // possibly more): strictly fewer simulations than probes.
     EXPECT_LT(second_sims, second_lookups);
+}
+
+/**
+ * Every nested request of a build — a run's warm-up checkpoint, a
+ * global-DVFS search's calibration probes — resolves in, and is
+ * counted by, the cache that asked for it. The process-wide instance()
+ * sees none of it.
+ */
+TEST(ArtifactCache, PrivateCacheOwnsItsNestedWork)
+{
+    ArtifactCache &global = ArtifactCache::instance();
+    const std::uint64_t global_lookups = global.lookups();
+    const std::uint64_t global_sims = global.simulationsRun();
+    const std::uint64_t global_insns = global.simulatedInstructions();
+
+    RunnerConfig config;
+    config.instructions = 3000;
+    config.warmup = 500;
+
+    // A checkpointed run: the run and its warm-up checkpoint, with the
+    // warm-up the checkpoint stepped credited here too.
+    ArtifactCache checkpointed;
+    RunnerConfig ladder = config;
+    ladder.checkpointEvery = 500;
+    checkpointed.getOrRun(
+        ExperimentSpec{.benchmark = "gsm", .config = ladder});
+    EXPECT_EQ(checkpointed.lookups(), 2u);
+    EXPECT_EQ(checkpointed.simulationsRun(), 2u);
+    EXPECT_EQ(checkpointed.simulatedInstructions(), 3501u);
+
+    // A global-DVFS match to a 5% slower run: its f_max calibration
+    // probe is the run this cache already holds, so it hits instead of
+    // simulating again.
+    ArtifactCache matched;
+    SimStats full = matched.getOrRun(
+        ExperimentSpec{.benchmark = "gsm",
+                       .mode = ClockMode::Synchronous,
+                       .config = config});
+    matched.getOrRun(GlobalMatchSpec{.benchmark = "gsm",
+                                     .targetTime = full.time * 21 / 20,
+                                     .config = config});
+    EXPECT_EQ(matched.lookups(), 5u);
+    EXPECT_EQ(matched.simulationsRun(), 3u);
+    EXPECT_EQ(matched.simulatedInstructions(), 10503u);
+
+    EXPECT_EQ(global.lookups(), global_lookups);
+    EXPECT_EQ(global.simulationsRun(), global_sims);
+    EXPECT_EQ(global.simulatedInstructions(), global_insns);
 }
 
 } // namespace

@@ -136,8 +136,9 @@ TEST(FrontEndExtension, DecaysFrontEndWhenRobIsFlat)
     adc.decay = 0.0125;
     FrontEndAttackDecayController controller(adc);
     double min_fe = 1.0e9;
+    ArtifactCache cache;
     simulate(
-        config, "adpcm", ClockMode::Mcd, 1.0e9, &controller,
+        cache, config, "adpcm", ClockMode::Mcd, 1.0e9, &controller,
         [&](const IntervalStats &stats) {
             min_fe = std::min(min_fe, stats.feFrequency);
         });
@@ -176,13 +177,14 @@ TEST(FrontEndExtension, FrontEndSlowdownHurtsHighIpcAppsMost)
         Hertz fe_;
     };
 
+    ArtifactCache cache;
     auto degradation = [&](const char *bench) {
-        SimStats base = ArtifactCache::instance().getOrRun(
+        SimStats base = cache.getOrRun(
             ProfileSpec{.benchmark = bench, .config = config}
                 .experimentSpec());
         Pinned slow(0.5e9); // halved front end
-        SimStats pinned =
-            simulate(config, bench, ClockMode::Mcd, 1.0e9, &slow);
+        SimStats pinned = simulate(cache, config, bench, ClockMode::Mcd,
+                                   1.0e9, &slow);
         return compare(base, pinned).perfDegradation;
     };
 
@@ -205,8 +207,9 @@ TEST(FrontEndExtension, BackEndBehaviorMatchesPlainController)
                                     .controller = attackDecaySpec(adc),
                                     .config = config});
     FrontEndAttackDecayController controller(adc);
-    SimStats extended =
-        simulate(config, "swim", ClockMode::Mcd, 1.0e9, &controller);
+    ArtifactCache cache;
+    SimStats extended = simulate(cache, config, "swim", ClockMode::Mcd,
+                                 1.0e9, &controller);
     // Both are valid runs of the same workload.
     EXPECT_EQ(plain.instructions, extended.instructions);
     // The extension can only add front-end slowdown.

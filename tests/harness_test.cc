@@ -124,10 +124,12 @@ tinyConfig()
     return config;
 }
 
+/** The suite's own cache, shared across its tests like a process's. */
 ArtifactCache &
 cache()
 {
-    return ArtifactCache::instance();
+    static ArtifactCache suite;
+    return suite;
 }
 
 /** The baseline MCD run (the profiling pass's SimStats artifact). */

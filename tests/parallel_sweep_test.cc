@@ -152,8 +152,8 @@ tinySpecs(const ControllerSpec &controller = {.name = "profiling"})
 std::vector<SimStats>
 runCold(const std::vector<ExperimentSpec> &specs, int workers)
 {
-    ArtifactCache::instance().clear();
-    return runExperiments(specs, workers);
+    ArtifactCache cold;
+    return runExperiments(specs, workers, cold);
 }
 
 void
@@ -173,14 +173,7 @@ expectIdenticalStats(const SimStats &a, const SimStats &b)
     }
 }
 
-class ParallelSweepRuns : public ::testing::Test
-{
-  protected:
-    void SetUp() override { ArtifactCache::instance().clear(); }
-    void TearDown() override { ArtifactCache::instance().clear(); }
-};
-
-TEST_F(ParallelSweepRuns, OneWorkerAndManyWorkersAreBitIdentical)
+TEST(ParallelSweepRuns, OneWorkerAndManyWorkersAreBitIdentical)
 {
     auto specs = tinySpecs();
     auto serial = runCold(specs, 1);
@@ -199,7 +192,7 @@ TEST_F(ParallelSweepRuns, OneWorkerAndManyWorkersAreBitIdentical)
     }
 }
 
-TEST_F(ParallelSweepRuns, SeedIndexSelectsTheClockStream)
+TEST(ParallelSweepRuns, SeedIndexSelectsTheClockStream)
 {
     // Same seed index => identical machine; different seed index =>
     // different jittered clock stream => different timings. Uncached
@@ -213,7 +206,7 @@ TEST_F(ParallelSweepRuns, SeedIndexSelectsTheClockStream)
     EXPECT_NE(results[0].time, results[2].time);
 }
 
-TEST_F(ParallelSweepRuns, AggregationIsIndependentOfCompletionOrder)
+TEST(ParallelSweepRuns, AggregationIsIndependentOfCompletionOrder)
 {
     // Aggregate the same batch through the metrics layer from result
     // vectors produced under different worker counts (and hence
@@ -224,8 +217,9 @@ TEST_F(ParallelSweepRuns, AggregationIsIndependentOfCompletionOrder)
     auto ad_specs = tinySpecs(attackDecaySpec(AttackDecayConfig{}));
 
     auto aggregate = [&](int workers) {
-        auto base = runCold(specs, workers);
-        auto variant = runExperiments(ad_specs, workers);
+        ArtifactCache cache;
+        auto base = runExperiments(specs, workers, cache);
+        auto variant = runExperiments(ad_specs, workers, cache);
         std::vector<ComparisonMetrics> all;
         for (std::size_t i = 0; i < base.size(); ++i)
             all.push_back(compare(base[i], variant[i]));
@@ -243,15 +237,14 @@ TEST_F(ParallelSweepRuns, AggregationIsIndependentOfCompletionOrder)
     EXPECT_EQ(ppr1, ppr7);
 }
 
-TEST_F(ParallelSweepRuns, OfflineSearchIsBitIdenticalForAnyWorkerCount)
+TEST(ParallelSweepRuns, OfflineSearchIsBitIdenticalForAnyWorkerCount)
 {
     // The offline Dynamic-X% margin search fans its schedule probes
     // through the engine; its result must not depend on the worker
     // count either. Each search starts from a cold cache, so its
     // probes really run on that many workers.
     auto search = [](int jobs) {
-        ArtifactCache &cache = ArtifactCache::instance();
-        cache.clear();
+        ArtifactCache cache;
         RunnerConfig config = tinyConfig();
         config.jobs = jobs;
         ProfileSpec baseline{.benchmark = "gsm", .config = config};

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,7 +65,8 @@ class TestDaemon
 {
   public:
     explicit TestDaemon(const std::string &tag, int max_inflight = -1,
-                        int workers = 2, const std::string &store = "")
+                        int workers = 2, const std::string &store = "",
+                        const std::string &events = "")
     {
         ServeOptions options;
         options.socketPath = socketPath(tag);
@@ -73,6 +75,7 @@ class TestDaemon
         options.config = testConfig();
         options.config.store = store;
         options.cache = &cache_;
+        options.eventsPath = events;
         server_ = std::make_unique<Server>(options);
         thread_ = std::thread([this] { server_->run(); });
     }
@@ -162,6 +165,26 @@ drainRun(ServeClient &client)
         }
         out.payloads[index] = event.getString("payload");
         out.cold[index] = event.getBool("cold", false);
+    }
+}
+
+/** Block until the daemon's events log at `path` holds the `done`
+ *  record of request `id`: the daemon's own word that the request and
+ *  every unit it admitted have finished, however long that takes. */
+void
+waitForDone(const std::string &path, std::uint64_t id)
+{
+    while (true) {
+        std::ifstream log(path);
+        std::string line;
+        while (std::getline(log, line)) {
+            json::Value event;
+            if (json::parse(line, event) &&
+                event.getU64("id", 0) == id &&
+                event.getString("event") == "done")
+                return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
 }
 
@@ -326,7 +349,6 @@ TEST(ServeDaemon, UserErrorFatalsBecomeBadRequestReplies)
     TestDaemon daemon("fatals");
     ServeClient client;
     connectTo(client, daemon.path());
-    // The tournament verb resolves through the process-wide cache.
     std::uint64_t global_sims = ArtifactCache::instance().simulationsRun();
 
     // Every user error is caught by validation before any work is
@@ -561,9 +583,46 @@ TEST(ServeDaemon, AdmissionControlRejectsBeyondBound)
     EXPECT_EQ("pong", pong.getString("event"));
 }
 
+TEST(ServeDaemon, TournamentIsColdThenWarmInTheDaemonCache)
+{
+    // The tournament resolves every product through the daemon's own
+    // cache, so that cache alone tells a cold request from a warm one
+    // and the process-wide instance() never moves.
+    ArtifactCache &global = ArtifactCache::instance();
+    const std::uint64_t global_lookups = global.lookups();
+    const std::uint64_t global_sims = global.simulationsRun();
+
+    TestDaemon daemon("tournament");
+    ServeClient client;
+    connectTo(client, daemon.path());
+    const std::string request =
+        "{\"op\": \"tournament\", \"scenarios\": [\"gsm\"], "
+        "\"controllers\": [\"attack_decay\"]}";
+
+    RunReply cold = runRequest(client, request);
+    ASSERT_TRUE(cold.transport_ok);
+    EXPECT_EQ("done", cold.terminal.getString("event"));
+    ASSERT_EQ(1u, cold.cold.size());
+    EXPECT_TRUE(cold.cold[0]);
+    std::uint64_t sims = daemon.cache().simulationsRun();
+    EXPECT_GT(sims, 0u);
+
+    RunReply warm = runRequest(client, request);
+    ASSERT_TRUE(warm.transport_ok);
+    ASSERT_EQ(1u, warm.cold.size());
+    EXPECT_FALSE(warm.cold[0]);
+    EXPECT_EQ(warm.payloads[0], cold.payloads[0]);
+    EXPECT_EQ(sims, daemon.cache().simulationsRun());
+
+    EXPECT_EQ(global_lookups, global.lookups());
+    EXPECT_EQ(global_sims, global.simulationsRun());
+}
+
 TEST(ServeDaemon, ClientDisconnectMidStreamLandsResultAndSurvives)
 {
-    TestDaemon daemon("disconnect");
+    const std::string events = socketPath("disconnect") + ".events";
+    std::filesystem::remove(events);
+    TestDaemon daemon("disconnect", -1, 2, "", events);
     const std::string request =
         "{\"op\": \"run\", \"benches\": [\"mcf\"], "
         "\"instructions\": 500000, \"warmup\": 5000}";
@@ -577,14 +636,11 @@ TEST(ServeDaemon, ClientDisconnectMidStreamLandsResultAndSurvives)
     }
 
     // The admitted unit still completes and its artifact lands in the
-    // cache (poll; the worker owns it now and tells no one).
-    bool landed = false;
-    for (int i = 0; i < 3000 && !landed; ++i) {
-        landed = daemon.cache().simulationsRun() >= 1;
-        if (!landed)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_TRUE(landed) << "unit never completed after disconnect";
+    // cache. Its client tells no one, but the daemon logs the orphaned
+    // request's `done` (request id 1: the daemon's first request).
+    waitForDone(events, 1);
+    EXPECT_GE(daemon.cache().simulationsRun(), 1u)
+        << "unit never completed after disconnect";
 
     // And the daemon is unharmed: a fresh client gets served, and the
     // orphaned result is warm for it now.
@@ -597,6 +653,7 @@ TEST(ServeDaemon, ClientDisconnectMidStreamLandsResultAndSurvives)
     ASSERT_EQ(1u, warm.payloads.size());
     EXPECT_FALSE(warm.cold[0]);
     EXPECT_EQ(1u, daemon.cache().simulationsRun());
+    std::filesystem::remove(events);
 }
 
 TEST(ServeDaemon, ShutdownVerbDrainsAndRemovesSocket)

@@ -266,15 +266,6 @@ TEST(StatRegistry, RenderersCoverEveryStatKind)
     std::string table = StatRegistry::renderTable(stats);
     EXPECT_NE(std::string::npos, table.find("test.render.counter"));
     EXPECT_NE(std::string::npos, table.find("test.render.hist"));
-
-    // Prometheus: mcd_ prefix, dots to underscores, summary suffixes.
-    std::string prom = StatRegistry::renderPrometheus(stats);
-    EXPECT_NE(std::string::npos,
-              prom.find("mcd_test_render_counter 3"));
-    EXPECT_NE(std::string::npos,
-              prom.find("mcd_test_render_hist_count 2"));
-    EXPECT_NE(std::string::npos,
-              prom.find("quantile=\"0.5\""));
 }
 
 // --------------------------------------------------------- profiler
